@@ -2,11 +2,11 @@
 
 from .core import (Channel, Dataset, FiringInterval, FuzzyModelError,
                    InputDomainError, IT2Gaussian, IT2PFModel, Normalization,
-                   ParameterError, PolynomialConsequent, RulePremise, Sample,
+                   ParameterError, PolynomialConsequent, RulePremise,
                    ShapeError, StructuralError, TrainingError,
                    TypeReductionConfig, concat_datasets, eval_consequent,
                    eval_membership, firing_interval, materialize_ticks,
-                   predict, type_reduce)
+                   regressor_matrix, type_reduce)
 from .clustering import (ClusterResult, SubtractiveParams, build_premises,
                          fcm_refine, subtractive_cluster)
 from .identify import (FitReport, TrainConfig, assemble_regressor,
@@ -19,6 +19,6 @@ from .bench import (BenchmarkReport, Split, learning_curve, mae, rmse,
 from .pegsim import (BlockState, DemonstrationError, EpisodeReport,
                      OperatorScript, PegWorld, PegWorldConfig, RPController,
                      build_scripts, record_demonstration,
-                     record_demonstrations, rp_step, run_episode)
+                     record_demonstrations, run_episode)
 
 __version__ = "0.1.0"

@@ -12,7 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bench import learning_curve, rmse, run_benchmark, fit_named_model
+from .bench import (MODEL_NAMES, fit_named_model, learning_curve, rmse,
+                    run_benchmark)
 from .clustering import SubtractiveParams
 from .core import Channel, FuzzyModelError, InputDomainError, ParameterError, \
     ShapeError, StructuralError, TrainingError
@@ -188,8 +189,7 @@ def _build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--model", default="it2pfml",
-                   choices=["it2pfml", "pfmb", "tsfmb", "lkv"])
+    p.add_argument("--model", default="it2pfml", choices=MODEL_NAMES)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_train)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (IT2Gaussian, ParameterError, RulePremise, StructuralError,
-                   _check_finite)
+                   TrainingError, _check_finite)
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ def fcm_refine(points, p, init_centers, fuzzifier_m=2.0, tol=1e-6,
         Um = U ** fuzzifier_m
         obj = float(np.sum(Um * d2))
         if obj > prev_obj + 1e-9 * (1.0 + abs(prev_obj)):
-            raise RuntimeError("FCM objective increased; numerical fault")
+            raise TrainingError("FCM objective increased; numerical fault")
         history.append(obj)
         prev_obj = obj
         mass = Um.sum(axis=1)

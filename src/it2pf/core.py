@@ -68,36 +68,6 @@ def _check_finite(arr, name):
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One training pair: state (x, v, v_next) and observed output y."""
-
-    x: np.ndarray
-    v: np.ndarray
-    v_next: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        for name in ("x", "v", "v_next", "y"):
-            arr = _vec(getattr(self, name), name)
-            _check_finite(arr, name)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        n = self.x.shape[0]
-        if self.v.shape[0] != n or self.v_next.shape[0] != n:
-            raise ShapeError("x, v, v_next must share dimension")
-        if self.y.shape[0] < 1:
-            raise ShapeError("y must have dimension >= 1")
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.y.shape[0]
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Column-major sample store for one channel.
 
@@ -160,9 +130,6 @@ class Dataset:
     @property
     def n_samples(self) -> int:
         return self.x.shape[0]
-
-    def sample(self, k: int) -> Sample:
-        return Sample(self.x[k], self.v[k], self.v_next[k], self.y[k])
 
     def subset(self, idx) -> "Dataset":
         return Dataset(self.channel, self.dt, self.x[idx], self.v[idx],
@@ -352,18 +319,27 @@ def firing_interval(premise: RulePremise, z: np.ndarray) -> FiringInterval:
     if z.shape[0] != premise.n_inputs:
         raise ShapeError(
             f"z has {z.shape[0]} entries, premise expects {premise.n_inputs}")
-    lo, up = _firing_batch([premise], z[None, :])
+    lo, up = _firing_batch(z[None, :], *_premise_tables([premise]))
     return FiringInterval(float(lo[0, 0]), float(up[0, 0]))
 
 
-def _firing_batch(premises, Z):
-    """Lower/upper firing of each premise at each row of Z -> two (N, p)."""
-    C = np.stack([prem.centers for prem in premises])          # (p, d)
+def _premise_tables(premises):
+    """Stack premises into centers and lower/upper variances, each (p, d).
+
+    The lower (upper) membership of rule l in dimension j is a Gaussian of
+    variance (sigma (1 - delta))^2 ((sigma (1 + delta))^2).
+    """
+    C = np.stack([prem.centers for prem in premises])
     S = np.stack([prem.sigmas for prem in premises])
     D = np.stack([prem.deltas for prem in premises])
-    d2 = (Z[:, None, :] - C[None, :, :]) ** 2                  # (N, p, d)
-    lo = np.exp(-0.5 * np.sum(d2 / (S * (1.0 - D)) ** 2, axis=2))
-    up = np.exp(-0.5 * np.sum(d2 / (S * (1.0 + D)) ** 2, axis=2))
+    return C, (S * (1.0 - D)) ** 2, (S * (1.0 + D)) ** 2
+
+
+def _firing_batch(Z, centers, var_lower, var_upper):
+    """Lower/upper firing of stacked premises at rows of Z -> two (N, p)."""
+    d2 = (Z[:, None, :] - centers[None, :, :]) ** 2            # (N, p, d)
+    lo = np.exp(-0.5 * np.sum(d2 / var_lower, axis=2))
+    up = np.exp(-0.5 * np.sum(d2 / var_upper, axis=2))
     return lo, up
 
 
@@ -466,6 +442,23 @@ class PolynomialConsequent:
     def m(self) -> int:
         return self.coeffs_M.shape[0]
 
+    @property
+    def theta(self) -> np.ndarray:
+        """Coefficients as (R, m) columns in regressor_matrix's layout."""
+        m = self.m
+        return np.hstack([self.coeffs_M.reshape(m, -1),
+                          self.coeffs_C.reshape(m, -1),
+                          self.coeffs_K.reshape(m, -1), self.coeffs_f]).T
+
+    @classmethod
+    def from_theta(cls, theta, n, degree):
+        """Split (R, m) coefficient columns into M, C, K and f."""
+        rows = np.asarray(theta, dtype=float).T
+        m, nB = rows.shape[0], n * basis_size(3 * n, degree)
+        M, C, K = (rows[:, i * nB:(i + 1) * nB].reshape(m, n, -1)
+                   for i in range(3))
+        return cls(degree, M, C, K, rows[:, 3 * nB:])
+
     @classmethod
     def zeros(cls, n, m, degree):
         B = basis_size(3 * n, degree)
@@ -473,39 +466,46 @@ class PolynomialConsequent:
                    np.zeros((m, n, B)), np.zeros((m, B)))
 
 
-def eval_consequent(cons: PolynomialConsequent, z, x, v, v_next, dt) -> np.ndarray:
-    """Evaluate one rule's consequent at normalized features z."""
+def regressor_matrix(Z, X, V, VN, dt, degree) -> np.ndarray:
+    """Rows of the consequent map at N samples, shape (N, (3n+1)*B).
+
+    Z is the normalized feature matrix and a = (VN - V)/dt.  Columns are
+    [M, C, K, f]: the first three blocks hold a_j, v_j, x_j times the
+    basis, each in (n, B) row-major order, and the last holds the basis.
+    A coefficient matrix theta in this layout gives y = R @ theta; training
+    solves for it, inference evaluates it.
+    """
     if dt <= 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
-    z = _vec(z, "z")
-    x = _vec(x, "x")
-    v = _vec(v, "v")
-    v_next = _vec(v_next, "v_next")
-    phi = monomial_basis(z, cons.degree)
-    return eval_consequent_batch(cons, phi[None, :], x[None, :], v[None, :],
-                                 v_next[None, :], dt)[0]
+    phi = monomial_basis(Z, degree)          # (N, B)
+    A = (VN - V) / dt
+    blocks = [
+        (A[:, :, None] * phi[:, None, :]).reshape(Z.shape[0], -1),
+        (V[:, :, None] * phi[:, None, :]).reshape(Z.shape[0], -1),
+        (X[:, :, None] * phi[:, None, :]).reshape(Z.shape[0], -1),
+        phi,
+    ]
+    return np.hstack(blocks)
 
 
-def eval_consequent_batch(cons, phi, x, v, v_next, dt):
-    """Batch consequent evaluation; phi is the precomputed basis (N, B)."""
-    accel = (v_next - v) / dt
-    # y[k, i] = sum_j,b (M[i,j,b] a[k,j] + C[i,j,b] v[k,j] + K[i,j,b] x[k,j]) phi[k,b]
-    #         + sum_b f[i,b] phi[k,b]
-    def term(coeffs, mult):
-        # (N, B) x (m, n, B) -> (N, m, n), then contract n against mult
-        G = np.tensordot(phi, coeffs, axes=([1], [2]))
-        return np.sum(G * mult[:, None, :], axis=2)
+def eval_consequent_batch(theta, Z, X, V, VN, dt, degree):
+    """Consequents with coefficient columns theta at N samples: one GEMM."""
+    return regressor_matrix(Z, X, V, VN, dt, degree) @ theta
 
-    y = term(cons.coeffs_M, accel)
-    y += term(cons.coeffs_C, v)
-    y += term(cons.coeffs_K, x)
-    y += phi @ cons.coeffs_f.T
-    return y
+
+def eval_consequent(cons: PolynomialConsequent, z, x, v, v_next, dt) -> np.ndarray:
+    """Evaluate one rule's consequent at normalized features z."""
+    rows = [_vec(a, name)[None, :] for name, a in
+            (("z", z), ("x", x), ("v", v), ("v_next", v_next))]
+    return eval_consequent_batch(cons.theta, *rows, dt, cons.degree)[0]
 
 
 # ---------------------------------------------------------------------------
 # Assembled model
 # ---------------------------------------------------------------------------
+
+_ROW_BLOCK = 2048    # rows per inference block in IT2PFModel.predict_batch
+
 
 @dataclass(frozen=True)
 class Normalization:
@@ -562,6 +562,13 @@ class IT2PFModel:
                 raise ShapeError("premise dimension must equal 3n")
         if self.norm.mean.shape[0] != 3 * n:
             raise ShapeError("normalization dimension must equal 3n")
+        # inference tensors, stacked once: premise tables (p, 3n) and every
+        # rule's consequent columns side by side, theta ((3n+1)*B, p*m)
+        tables = _premise_tables([prem for prem, _ in rules])
+        for name, arr in zip(("_centers", "_var_lower", "_var_upper"), tables):
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_theta",
+                           np.hstack([cons.theta for _, cons in rules]))
 
     @property
     def p(self) -> int:
@@ -585,17 +592,18 @@ class IT2PFModel:
 
     def predict(self, x, v, v_next):
         """Blend the rule consequents at one input; returns (y, degenerate)."""
-        x = _vec(x, "x")
-        v = _vec(v, "v")
-        v_next = _vec(v_next, "v_next")
+        rows = []
         for name, a in (("x", x), ("v", v), ("v_next", v_next)):
+            a = _vec(a, name)
             _check_finite(a, name)
             if a.shape[0] != self.n:
                 raise ShapeError(f"{name} must have dimension {self.n}")
-        Y, degen = self.predict_batch(x[None, :], v[None, :], v_next[None, :])
+            rows.append(a[None, :])
+        Y, degen = self._predict_rows(*rows)
         return Y[0], bool(degen[0])
 
     def predict_batch(self, X, V, VN):
+        """Predict N rows; returns (Y (N, m), degenerate (N,))."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         V = np.atleast_2d(np.asarray(V, dtype=float))
         VN = np.atleast_2d(np.asarray(VN, dtype=float))
@@ -603,16 +611,24 @@ class IT2PFModel:
             raise ShapeError("inputs must have shape (N, n)")
         for name, a in (("x", X), ("v", V), ("v_next", VN)):
             _check_finite(a, name)
-        Zn = self.norm.apply(np.hstack([X, V, VN]))
-        premises = [r[0] for r in self.rules]
-        lo, up = _firing_batch(premises, Zn)
-        W, degen = type_reduce_batch(lo, up, self.tr_config, self.epsilon_floor)
-        phi = monomial_basis(Zn, self.degree)
-        Y = np.zeros((X.shape[0], self.m))
-        for l, (_, cons) in enumerate(self.rules):
-            Y += W[:, l:l + 1] * eval_consequent_batch(cons, phi, X, V, VN, self.dt)
+        N = X.shape[0]
+        Y = np.empty((N, self.m))
+        degen = np.empty(N, dtype=bool)
+        # row blocks bound the (rows, (3n+1)*B) regressor temporary
+        for start in range(0, N, _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            Y[rows], degen[rows] = self._predict_rows(X[rows], V[rows],
+                                                      VN[rows])
         return Y, degen
 
-
-def predict(model: IT2PFModel, x, v, v_next):
-    return model.predict(x, v, v_next)
+    def _predict_rows(self, X, V, VN):
+        """Inference on validated rows: firing, type reduction, one GEMM
+        over every rule's consequent, one weighted sum over the rules."""
+        Zn = self.norm.apply(np.hstack([X, V, VN]))
+        lo, up = _firing_batch(Zn, self._centers, self._var_lower,
+                               self._var_upper)
+        W, degen = type_reduce_batch(lo, up, self.tr_config, self.epsilon_floor)
+        Yr = eval_consequent_batch(self._theta, Zn, X, V, VN, self.dt,
+                                   self.degree)
+        Y = np.einsum("np,npm->nm", W, Yr.reshape(-1, self.p, self.m))
+        return Y, degen

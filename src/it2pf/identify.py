@@ -17,8 +17,8 @@ from .clustering import SubtractiveParams, build_premises, fcm_refine, \
     subtractive_cluster
 from .core import (Dataset, IT2PFModel, Normalization, ParameterError,
                    PolynomialConsequent, TrainingError, TypeReductionConfig,
-                   _firing_batch, basis_size, monomial_basis,
-                   type_reduce_batch)
+                   _firing_batch, _premise_tables, basis_size,
+                   regressor_matrix, type_reduce_batch)
 
 
 @dataclass(frozen=True)
@@ -81,21 +81,6 @@ def assemble_regressor(z, x, v, v_next, dt, degree) -> np.ndarray:
                             v_next[None, :], dt, degree)[0]
 
 
-def regressor_matrix(Z, X, V, VN, dt, degree) -> np.ndarray:
-    """Stacked regressor rows for all samples, shape (N, (3n+1)*B)."""
-    if dt <= 0:
-        raise ParameterError(f"dt must be > 0, got {dt}")
-    phi = monomial_basis(Z, degree)          # (N, B)
-    A = (VN - V) / dt
-    blocks = [
-        (A[:, :, None] * phi[:, None, :]).reshape(Z.shape[0], -1),
-        (V[:, :, None] * phi[:, None, :]).reshape(Z.shape[0], -1),
-        (X[:, :, None] * phi[:, None, :]).reshape(Z.shape[0], -1),
-        phi,
-    ]
-    return np.hstack(blocks)
-
-
 def _weighted_median(values, weights):
     order = np.argsort(values, kind="stable")
     v = values[order]
@@ -133,22 +118,6 @@ def _weighted_lstsq(rows, target, w, l2=0.0, free_cols=()):
     theta, _, rank, sv = np.linalg.lstsq(A, b, rcond=None)
     cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else float("inf")
     return theta, rank, cond
-
-
-def _theta_to_consequent(theta_rows, n, degree) -> PolynomialConsequent:
-    B = basis_size(3 * n, degree)
-    m = theta_rows.shape[0]
-    M = np.empty((m, n, B))
-    C = np.empty((m, n, B))
-    K = np.empty((m, n, B))
-    f = np.empty((m, B))
-    for i in range(m):
-        th = theta_rows[i]
-        M[i] = th[0:n * B].reshape(n, B)
-        C[i] = th[n * B:2 * n * B].reshape(n, B)
-        K[i] = th[2 * n * B:3 * n * B].reshape(n, B)
-        f[i] = th[3 * n * B:]
-    return PolynomialConsequent(degree, M, C, K, f)
 
 
 def robust_fit_rule(dataset: Dataset, rule_weights, config: TrainConfig,
@@ -223,8 +192,8 @@ def robust_fit_rule(dataset: Dataset, rule_weights, config: TrainConfig,
         "condition": max(conds),
         "rank_fallback": bool(fallback),
     }
-    n = dataset.n
-    return _theta_to_consequent(theta_rows, n, config.degree), report
+    return PolynomialConsequent.from_theta(theta_rows.T, dataset.n,
+                                           config.degree), report
 
 
 def _subsample_indices(N, cap):
@@ -297,10 +266,9 @@ def train(dataset: Dataset, config: TrainConfig):
     if config.width_scale != 1.0:
         result = replace(result, widths=result.widths * config.width_scale)
     premises = build_premises(result, config.delta, n_z=3 * n)
-    lo_f, up_f = _firing_batch(premises, Zn)
-    W, degen = type_reduce_batch(lo_f, up_f, config.tr_config,
-                                 config.epsilon_floor)
-    report.degenerate_samples = int(np.count_nonzero(degen))
+    lo_f, up_f = _firing_batch(Zn, *_premise_tables(premises))
+    W, _ = type_reduce_batch(lo_f, up_f, config.tr_config,
+                             config.epsilon_floor)
 
     # drop rules too weakly fired to support their coefficient count
     if config.drop_weak_rules and len(premises) > 1:
@@ -312,8 +280,8 @@ def train(dataset: Dataset, config: TrainConfig):
             del premises[weakest]
             lo_f = np.delete(lo_f, weakest, axis=1)
             up_f = np.delete(up_f, weakest, axis=1)
-            W, degen = type_reduce_batch(lo_f, up_f, config.tr_config,
-                                         config.epsilon_floor)
+            W, _ = type_reduce_batch(lo_f, up_f, config.tr_config,
+                                     config.epsilon_floor)
             report.dropped_rules += 1
         if report.dropped_rules:
             report.notes.append(
@@ -337,7 +305,8 @@ def train(dataset: Dataset, config: TrainConfig):
 
     model = IT2PFModel(dataset.channel, dataset.dt, tuple(rules), norm,
                        config.tr_config, config.epsilon_floor)
-    pred, _ = model.predict_batch(dataset.x, dataset.v, dataset.v_next)
+    pred, degen = model.predict_batch(dataset.x, dataset.v, dataset.v_next)
+    report.degenerate_samples = int(np.count_nonzero(degen))
     err = pred - dataset.y
     report.training_rmse = float(np.sqrt(np.mean(np.sum(err ** 2, axis=1))))
     return model, report

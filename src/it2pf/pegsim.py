@@ -224,14 +224,6 @@ class OperatorHistory:
     def __len__(self):
         return len(self.pos)
 
-    def truncated(self, k):
-        h = OperatorHistory()
-        h.pos = self.pos[:k + 1]
-        h.vel = self.vel[:k + 1]
-        h.theta = self.theta[:k + 1]
-        h.theta_rate = self.theta_rate[:k + 1]
-        return h
-
 
 class ScriptController:
     """Plays back a fixed right-gripper script (used for demonstrations)."""
@@ -297,11 +289,6 @@ class RPController:
             self._theta_cmd = self._theta_cmd + alpha * (float(th_raw[0])
                                                          - self._theta_cmd)
         return self._pos_cmd.copy(), self._theta_cmd, bool(d1 or d2)
-
-
-def rp_step(controller: RPController, history: OperatorHistory, k: int):
-    """One partner command from operator history up to tick k."""
-    return controller.command(history, k)
 
 
 # ---------------------------------------------------------------------------

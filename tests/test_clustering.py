@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from it2pf import clustering
 from it2pf.clustering import (
     ClusterResult,
     SubtractiveParams,
@@ -10,13 +11,25 @@ from it2pf.clustering import (
     fcm_refine,
     subtractive_cluster,
 )
-from it2pf.core import ParameterError
+from it2pf.core import ParameterError, TrainingError
 
 
 def _two_blobs(rng, sep=0.8, n=60, spread=0.01):
     a = rng.normal(scale=spread, size=(n, 2)) + [0.1, 0.1]
     b = rng.normal(scale=spread, size=(n, 2)) + [0.1 + sep, 0.1 + sep]
     return np.vstack([a, b])
+
+
+def _doubled_after_first(memberships):
+    """Memberships that are doubled from the second call on, so the FCM
+    objective rises: a stand-in for a numerical fault."""
+    calls = []
+
+    def faulty(d2, expo):
+        calls.append(None)
+        return memberships(d2, expo) * (1.0 if len(calls) == 1 else 2.0)
+
+    return faulty
 
 
 class TestSubtractive:
@@ -91,6 +104,15 @@ class TestFCM:
         res = fcm_refine(pts, 5, init)
         hist = np.array(res.objective_history)
         assert np.all(np.diff(hist) <= 1e-9 * (1 + np.abs(hist[:-1])))
+
+    def test_objective_rise_is_training_error(self, monkeypatch):
+        monkeypatch.setattr(clustering, "_memberships_from_d2",
+                            _doubled_after_first(
+                                clustering._memberships_from_d2))
+        rng = np.random.default_rng(3)
+        pts = rng.normal(size=(50, 2))
+        with pytest.raises(TrainingError, match="objective increased"):
+            fcm_refine(pts, 2, pts[:2])
 
     def test_zero_variance_dimension_floored(self):
         rng = np.random.default_rng(5)

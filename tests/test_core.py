@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from it2pf import core
 from it2pf.core import (
     Channel,
     Dataset,
@@ -316,6 +317,108 @@ class TestModelInference:
         for k in range(40):
             y, _ = m.predict(X[k], V[k], VN[k])
             assert np.allclose(Y[k], y, atol=1e-14)
+
+
+def _random_model(rng, n, m, p, degree):
+    """Model with random premises, coefficients, normalization and b weights."""
+    B = basis_size(3 * n, degree)
+    rules = []
+    for _ in range(p):
+        prem = RulePremise(tuple(
+            IT2Gaussian(float(rng.normal()), float(rng.uniform(0.5, 2.0)),
+                        float(rng.uniform(0.0, 0.5)))
+            for _ in range(3 * n)))
+        cons = PolynomialConsequent(degree, *rng.normal(size=(3, m, n, B)),
+                                    rng.normal(size=(m, B)))
+        rules.append((prem, cons))
+    norm = Normalization(rng.normal(size=3 * n), rng.uniform(0.5, 2.0, 3 * n))
+    b = float(rng.uniform())
+    return IT2PFModel(Channel.ENVIRONMENT, 0.01, rules, norm,
+                      TypeReductionConfig(b, 1.0 - b))
+
+
+def _reference_predict(model, x, v, v_next):
+    """Per-rule evaluation of the module-docstring formula at one row.
+
+    Returns (y, magnitude, degenerate); magnitude is the blended sum of the
+    absolute values of every consequent term, the scale of y's roundoff.
+    """
+    z = (np.concatenate([x, v, v_next]) - model.norm.mean) / model.norm.scale
+    a = (v_next - v) / model.dt
+    phi = np.array([math.prod(zj ** int(e) for zj, e in zip(z, row))
+                    for row in monomial_exponents(3 * model.n, model.degree)])
+    b_lo, b_up = model.tr_config.b_lower, model.tr_config.b_upper
+    omegas, outputs, mags = [], [], []
+    for prem, cons in model.rules:
+        lo = up = 1.0
+        for s, zj in zip(prem.sets, z):
+            lo *= math.exp(-(zj - s.center) ** 2
+                           / (2 * (s.sigma * (1 - s.delta)) ** 2))
+            up *= math.exp(-(zj - s.center) ** 2
+                           / (2 * (s.sigma * (1 + s.delta)) ** 2))
+        omegas.append(b_lo * lo + b_up * up)
+        terms = np.concatenate([
+            ((cons.coeffs_M * a[:, None] + cons.coeffs_C * v[:, None]
+              + cons.coeffs_K * x[:, None]) * phi).reshape(model.m, -1),
+            cons.coeffs_f * phi], axis=1)
+        outputs.append(terms.sum(axis=1))
+        mags.append(np.abs(terms).sum(axis=1))
+    total = sum(omegas)
+    degenerate = total < model.epsilon_floor
+    w = np.full(model.p, 1.0 / model.p) if degenerate \
+        else np.array(omegas) / total
+    return w @ np.array(outputs), w @ np.array(mags), degenerate
+
+
+def _rows_near_and_far(rng, model, n_near=4, n_far=2):
+    """Raw (x, v, v_next) rows: near a rule center, or far from every one."""
+    Z = []
+    for _ in range(n_near):
+        l = int(rng.integers(model.p))
+        prem = model.rules[l][0]
+        half = 0.5 * prem.sigmas * (1 - prem.deltas)
+        Z.append(prem.centers + rng.uniform(-half, half))
+    for _ in range(n_far):
+        Z.append(1e3 + rng.normal(size=3 * model.n))
+    raw = np.array(Z) * model.norm.scale + model.norm.mean
+    return np.split(raw, 3, axis=1)
+
+
+class TestStackedInference:
+    """predict_batch against an independent per-rule reference."""
+
+    @given(st.integers(0, 2), st.integers(1, 3), st.integers(1, 2),
+           st.integers(1, 6), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_rule_reference(self, degree, n, m, p, seed):
+        rng = np.random.default_rng(seed)
+        model = _random_model(rng, n, m, p, degree)
+        X, V, VN = _rows_near_and_far(rng, model)
+        Y, degen = model.predict_batch(X, V, VN)
+        assert degen.tolist() == [False] * 4 + [True] * 2
+        for k in range(X.shape[0]):
+            y, mag, d = _reference_predict(model, X[k], V[k], VN[k])
+            assert degen[k] == d
+            assert np.all(np.abs(Y[k] - y) <= 1e-12 * mag)
+        # the single-row path is the one-row batch, bit for bit
+        y0, d0 = model.predict(X[0], V[0], VN[0])
+        Y0, D0 = model.predict_batch(X[:1], V[:1], VN[:1])
+        assert np.array_equal(y0, Y0[0]) and d0 == D0[0]
+
+    def test_row_blocks_match_rows_one_by_one(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        model = _random_model(rng, n=2, m=2, p=4, degree=2)
+        X, V, VN = _rows_near_and_far(rng, model, n_near=8, n_far=3)
+        monkeypatch.setattr(core, "_ROW_BLOCK", 4)   # 11 rows -> 3 blocks
+        Y, degen = model.predict_batch(X, V, VN)
+        monkeypatch.undo()
+        whole, whole_degen = model.predict_batch(X, V, VN)
+        for k in range(X.shape[0]):
+            y, d = model.predict(X[k], V[k], VN[k])
+            _, mag, _ = _reference_predict(model, X[k], V[k], VN[k])
+            assert degen[k] == d == whole_degen[k]
+            assert np.all(np.abs(Y[k] - y) <= 1e-12 * mag)
+            assert np.all(np.abs(Y[k] - whole[k]) <= 1e-12 * mag)
 
 
 # ---------------------------------------------------------------------------

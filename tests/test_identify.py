@@ -228,3 +228,19 @@ class TestTrain:
         rmse_f = np.sqrt(np.mean((pred_f - te.y) ** 2))
         rmse_l = np.sqrt(np.mean((pred_l - te.y) ** 2))
         assert rmse_f < rmse_l
+
+    def test_degenerate_count_is_the_final_models(self):
+        # the Robotic Partner motion model of acceptance criterion 6: weak
+        # rules are dropped, and 15 training samples fall outside every
+        # rule of the final 25-rule model
+        from it2pf.clustering import SubtractiveParams
+        from it2pf.pegsim import PegWorldConfig, record_demonstrations
+        mt, _ = record_demonstrations(PegWorldConfig(), 5, seed=0)
+        cfg = TrainConfig(degree=0, delta=0.1,
+                          subtractive=SubtractiveParams(r_a=0.35),
+                          max_cluster_points=1500, force_p=30)
+        model, report = train(mt, cfg)
+        _, degen = model.predict_batch(mt.x, mt.v, mt.v_next)
+        assert (model.p, report.dropped_rules) == (25, 5)
+        assert mt.n_samples == 7095
+        assert report.degenerate_samples == int(degen.sum()) == 15

@@ -267,6 +267,25 @@ class TestCLI:
         assert code == 1
         assert "error:format" in capsys.readouterr().err
 
+    def test_fcm_fault_exit_code(self, tmp_path, small_config, capsys,
+                                 monkeypatch):
+        # doubled memberships from the second FCM iteration on make its
+        # objective rise, as a numerical fault would
+        from it2pf import clustering
+        real, calls = clustering._memberships_from_d2, []
+
+        def faulty(d2, expo):
+            calls.append(None)
+            return real(d2, expo) * (1.0 if len(calls) == 1 else 2.0)
+
+        data = str(tmp_path / "env.csv")
+        main(["gen-env", "--config", small_config, "--out", data])
+        monkeypatch.setattr(clustering, "_memberships_from_d2", faulty)
+        code = main(["train", "--config", small_config, "--data", data,
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert "error:training" in capsys.readouterr().err
+
     def test_peg_pipeline_smoke(self, tmp_path, capsys):
         cfg_path = tmp_path / "peg.ini"
         cfg_path.write_text("[seeds]\nmaster = 0\n"
