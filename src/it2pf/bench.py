@@ -84,6 +84,11 @@ def fit_named_model(name: str, train_set: Dataset, config: TrainConfig):
 def per_trial_metrics(model, test_set: Dataset):
     """(trial_id, rmse, mae) rows over the test trials, sorted by id."""
     pred, _ = model.predict_batch(test_set.x, test_set.v, test_set.v_next)
+    return _trial_rows(pred, test_set)
+
+
+def _trial_rows(pred, test_set: Dataset):
+    """per_trial_metrics of the predictions pred on test_set."""
     rows = []
     for tid in test_set.trials():
         mask = test_set.trial_id == tid
@@ -127,11 +132,11 @@ def run_benchmark(dataset: Dataset, models, split: Split, seeds,
     })
     for seed in seeds:
         tr, te = split_trials(dataset, replace(split, seed=seed))
-        pooled_true = te.y
         for name in models:
             try:
                 model = fit_named_model(name, tr, config)
-                trial_rows = per_trial_metrics(model, te)
+                pred, _ = model.predict_batch(te.x, te.v, te.v_next)
+                trial_rows = _trial_rows(pred, te)
             except FuzzyModelError as exc:
                 report.failures.append(
                     {"model": name, "seed": seed, "error": str(exc)})
@@ -140,13 +145,12 @@ def run_benchmark(dataset: Dataset, models, split: Split, seeds,
                 report.rows.append({"model": name, "seed": seed,
                                     "fraction": split.fraction,
                                     "trial_id": tid, "rmse": r, "mae": a})
-            pred, _ = model.predict_batch(te.x, te.v, te.v_next)
             report.aggregates.append({
                 "model": name, "seed": seed, "fraction": split.fraction,
                 "srmse": float(sum(r for _, r, _ in trial_rows)),
                 "smae": float(sum(a for _, _, a in trial_rows)),
-                "pooled_rmse": rmse(pred, pooled_true),
-                "pooled_mae": mae(pred, pooled_true),
+                "pooled_rmse": rmse(pred, te.y),
+                "pooled_mae": mae(pred, te.y),
             })
     return report
 

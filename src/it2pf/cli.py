@@ -24,8 +24,8 @@ from .modelio import (ConfigError, FormatError, atomic_write_text,
                       learning_curve_csv, parse_config, read_dataset_csv,
                       load_model, save_model, trace_csv, write_dataset_csv,
                       _fmt)
-from .pegsim import (RPController, build_scripts, record_demonstrations,
-                     demonstration_ticks, run_episode)
+from .pegsim import (RPController, build_scripts, demonstrations_ticks,
+                     run_episode)
 
 _ERROR_CATEGORY = (
     (ConfigError, "config"),
@@ -118,22 +118,9 @@ def _cmd_learning_curve(args):
 def _cmd_gen_demo(args):
     cfg = parse_config(args.config)
     world = cfg.peg.world
-    mt_parts, ga_parts = [], []
-    for d in range(cfg.peg.n_demos):
-        left, right = build_scripts(world, seed=cfg.seed * 1009 + d)
-        mt, ga = demonstration_ticks(world, left, right, trial=d)
-        mt_parts.append(mt)
-        ga_parts.append(ga)
-
-    def _concat(parts):
-        return tuple(np.concatenate(cols) if np.asarray(cols[0]).ndim == 1
-                     else np.vstack(cols)
-                     for cols in zip(*parts))
-
-    mt_all = _concat(mt_parts)
-    ga_all = _concat(ga_parts)
-    write_dataset_csv(args.out_mt, Channel.MOTION, world.dt, *mt_all)
-    write_dataset_csv(args.out_ga, Channel.GESTURE, world.dt, *ga_all)
+    mt, ga = demonstrations_ticks(world, cfg.peg.n_demos, cfg.seed)
+    write_dataset_csv(args.out_mt, Channel.MOTION, world.dt, *mt)
+    write_dataset_csv(args.out_ga, Channel.GESTURE, world.dt, *ga)
     print(f"wrote {args.out_mt} and {args.out_ga}: {cfg.peg.n_demos} demos")
     return 0
 

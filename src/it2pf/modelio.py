@@ -12,17 +12,17 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .baselines import LKVModel
-from .bench import Split
-from .clustering import SubtractiveParams
+from .bench import MODEL_NAMES, Split
 from .core import (Channel, Dataset, FuzzyModelError, IT2Gaussian, IT2PFModel,
                    Normalization, PolynomialConsequent, RulePremise,
                    TypeReductionConfig, materialize_ticks)
-from .envsim import GaussianBump, PressProtocol, SiliconeEnv
+from .envsim import (GaussianBump, PressProtocol, SiliconeEnv, _grid,
+                     default_env)
 from .identify import TrainConfig
 from .pegsim import PegWorldConfig
 
@@ -248,32 +248,34 @@ class PegRunConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int
-    train: TrainConfig
-    env: SiliconeEnv
-    protocol: PressProtocol
-    split: Split
-    bench_models: tuple = ("it2pfml", "pfmb", "tsfmb", "lkv")
-    bench_seeds: tuple = (0, 1, 2, 3, 4)
+    bench_seeds: tuple
+    train: TrainConfig = field(default_factory=TrainConfig)
+    env: SiliconeEnv = field(default_factory=default_env)
+    protocol: PressProtocol = field(default_factory=PressProtocol)
+    split: Split = field(default_factory=Split)
+    bench_models: tuple = MODEL_NAMES
     curve_fractions: tuple = (0.02, 0.05, 0.10, 0.25, 0.50)
     curve_seeds: int = 5
     peg: PegRunConfig = field(default_factory=PegRunConfig)
 
 
+def _words(s):
+    return s.replace(",", " ").split()
+
+
 def _parse_floats(s):
-    return tuple(float(u) for u in s.replace(",", " ").split())
+    return tuple(float(u) for u in _words(s))
 
 
 def _parse_ints(s):
-    return tuple(int(u) for u in s.replace(",", " ").split())
+    return tuple(int(u) for u in _words(s))
 
 
 def _parse_bool(s):
-    low = s.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"not a boolean: {s!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[s.lower()]
+    except KeyError:
+        raise ConfigError(f"not a boolean: {s!r}") from None
 
 
 def _parse_bumps(s):
@@ -290,156 +292,113 @@ def _parse_bumps(s):
     return tuple(bumps)
 
 
-_KNOWN_KEYS = {
-    "seeds": {"master"},
-    "train": {"degree", "delta", "huber_k", "irls_max_iter", "irls_tol",
-              "fcm_fuzzifier", "fcm_tol", "fcm_max_iter", "width_floor",
-              "b_lower", "b_upper", "epsilon_floor", "force_p", "max_rules",
-              "max_cluster_points", "drop_weak_rules"},
-    "clustering": {"r_a", "r_b", "accept_ratio", "reject_ratio"},
-    "env": {"base_stiffness", "damping", "exponent", "surface_height",
-            "bumps"},
-    "protocol": {"depths", "trials_per_level", "dt", "press_duration",
-                 "hold_duration", "clearance", "position_noise",
-                 "force_noise", "location_jitter", "grid"},
-    "split": {"fraction"},
-    "benchmark": {"models", "seeds", "fractions", "curve_seeds"},
-    "peg": {"n_demos", "n_episodes", "tau", "rp_degree", "rp_delta",
-            "rp_r_a", "rp_max_cluster_points", "rp_force_p",
-            "rp_width_scale", "timeout", "grasp_radius",
-            "place_radius"},
+def _parse_grid(s):
+    vals = _parse_floats(s)
+    if len(vals) != 6:
+        raise ConfigError("grid needs 6 numbers: nx ny x0 x1 y0 y1")
+    return _grid(int(vals[0]), int(vals[1]), *vals[2:])
+
+
+def _parse_models(s):
+    names = tuple(_words(s))
+    unknown = sorted(set(names) - set(MODEL_NAMES))
+    if unknown:
+        raise ConfigError(f"unknown model name(s) {unknown}; "
+                          f"expected some of {list(MODEL_NAMES)}")
+    return names
+
+
+def _keys(section, target, parser, *keys):
+    return {(section, key): (parser, f"{target}.{key}") for key in keys}
+
+
+# Every accepted INI key: (section, key) -> (parser, the dotted
+# ExperimentConfig fields it sets).  A field that the file does not set keeps
+# its dataclass default; the benchmark's split seeds default to the five
+# seeds from the master seed on (parse_config).
+_CONFIG_KEYS = {
+    ("seeds", "master"): (int, "seed train.seed protocol.seed split.seed"),
+    **_keys("train", "train", int, "degree", "irls_max_iter",
+            "fcm_max_iter", "force_p", "max_rules", "max_cluster_points"),
+    **_keys("train", "train", float, "delta", "huber_k", "irls_tol",
+            "fcm_fuzzifier", "fcm_tol", "width_floor", "epsilon_floor"),
+    **_keys("train", "train", _parse_bool, "drop_weak_rules"),
+    **_keys("train", "train.tr_config", float, "b_lower", "b_upper"),
+    **_keys("clustering", "train.subtractive", float, "r_a", "r_b",
+            "accept_ratio", "reject_ratio"),
+    **_keys("env", "env", float, "base_stiffness", "damping", "exponent",
+            "surface_height"),
+    **_keys("env", "env", _parse_bumps, "bumps"),
+    **_keys("protocol", "protocol", int, "trials_per_level"),
+    **_keys("protocol", "protocol", float, "dt", "press_duration",
+            "hold_duration", "clearance", "position_noise", "force_noise",
+            "location_jitter"),
+    **_keys("protocol", "protocol", _parse_floats, "depths"),
+    **_keys("protocol", "protocol", _parse_grid, "grid"),
+    **_keys("split", "split", float, "fraction"),
+    ("benchmark", "models"): (_parse_models, "bench_models"),
+    ("benchmark", "seeds"): (_parse_ints, "bench_seeds"),
+    ("benchmark", "fractions"): (_parse_floats, "curve_fractions"),
+    ("benchmark", "curve_seeds"): (int, "curve_seeds"),
+    **_keys("peg", "peg", int, "n_demos", "n_episodes", "rp_degree",
+            "rp_max_cluster_points", "rp_force_p"),
+    **_keys("peg", "peg", float, "tau", "rp_delta", "rp_r_a",
+            "rp_width_scale"),
+    **_keys("peg", "peg.world", float, "timeout", "grasp_radius",
+            "place_radius"),
 }
+_SECTIONS = {section for section, _ in _CONFIG_KEYS}
 
 
 def parse_config(path) -> ExperimentConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
+    try:
+        if not cp.read(path):
+            raise ConfigError(f"cannot read config file {path!r}")
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    values = {}
     for section in cp.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _SECTIONS:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        unknown = set(cp[section]) - _KNOWN_KEYS[section]
-        if unknown:
-            raise ConfigError(
-                f"{path}: unknown key(s) in [{section}]: {sorted(unknown)}")
-    if not cp.has_option("seeds", "master"):
+        for key, text in cp[section].items():
+            if (section, key) not in _CONFIG_KEYS:
+                raise ConfigError(
+                    f"{path}: unknown key {key!r} in [{section}]")
+            parser, targets = _CONFIG_KEYS[section, key]
+            try:
+                value = parser(text)
+            except (ValueError, FuzzyModelError) as exc:
+                raise ConfigError(f"{path}: [{section}] {key}: {exc}") from exc
+            for target in targets.split():
+                _put(values, target, value)
+    if "seed" not in values:
         raise ConfigError(f"{path}: [seeds] master is required; "
                           "seeds must be explicit")
+    seed = values["seed"]
+    values.setdefault("bench_seeds", tuple(range(seed, seed + 5)))
     try:
-        return _build_config(cp)
+        return _build(ExperimentConfig, values)
     except (ValueError, FuzzyModelError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _build_config(cp) -> ExperimentConfig:
-    seed = cp.getint("seeds", "master")
+def _put(values, target, value):
+    """Store value at the dotted target, one nested dict per dot."""
+    *parents, name = target.split(".")
+    for parent in parents:
+        values = values.setdefault(parent, {})
+    values[name] = value
 
-    sub_kw = {}
-    if cp.has_section("clustering"):
-        sec = cp["clustering"]
-        for key in ("r_a", "r_b", "accept_ratio", "reject_ratio"):
-            if key in sec:
-                sub_kw[key] = float(sec[key])
-    subtractive = SubtractiveParams(**sub_kw)
 
-    train_kw = {"subtractive": subtractive, "seed": seed}
-    tr_b = {}
-    if cp.has_section("train"):
-        sec = cp["train"]
-        for key, conv in (("degree", int), ("delta", float),
-                          ("huber_k", float), ("irls_max_iter", int),
-                          ("irls_tol", float), ("fcm_fuzzifier", float),
-                          ("fcm_tol", float), ("fcm_max_iter", int),
-                          ("width_floor", float), ("epsilon_floor", float),
-                          ("force_p", int), ("max_rules", int),
-                          ("max_cluster_points", int),
-                          ("drop_weak_rules", _parse_bool)):
-            if key in sec:
-                train_kw[key] = conv(sec[key])
-        for key in ("b_lower", "b_upper"):
-            if key in sec:
-                tr_b[key] = float(sec[key])
-    if tr_b:
-        train_kw["tr_config"] = TypeReductionConfig(
-            tr_b.get("b_lower", 0.5), tr_b.get("b_upper", 0.5))
-    train = TrainConfig(**train_kw)
-
-    env_kw = {}
-    if cp.has_section("env"):
-        sec = cp["env"]
-        for key in ("base_stiffness", "damping", "exponent", "surface_height"):
-            if key in sec:
-                env_kw[key] = float(sec[key])
-        if "bumps" in sec:
-            env_kw["bumps"] = _parse_bumps(sec["bumps"])
-    from .envsim import default_env
-    env = SiliconeEnv(**env_kw) if env_kw else default_env()
-
-    proto_kw = {"seed": seed}
-    if cp.has_section("protocol"):
-        sec = cp["protocol"]
-        for key, conv in (("trials_per_level", int), ("dt", float),
-                          ("press_duration", float), ("hold_duration", float),
-                          ("clearance", float), ("position_noise", float),
-                          ("force_noise", float), ("location_jitter", float)):
-            if key in sec:
-                proto_kw[key] = conv(sec[key])
-        if "depths" in sec:
-            proto_kw["depths"] = _parse_floats(sec["depths"])
-        if "grid" in sec:
-            vals = _parse_floats(sec["grid"])
-            if len(vals) != 6:
-                raise ConfigError("grid needs 6 numbers: nx ny x0 x1 y0 y1")
-            from .envsim import _grid
-            proto_kw["grid"] = _grid(int(vals[0]), int(vals[1]), vals[2],
-                                     vals[3], vals[4], vals[5])
-    protocol = PressProtocol(**proto_kw)
-
-    split = Split(cp.getfloat("split", "fraction", fallback=0.10), seed)
-
-    bench_models = ("it2pfml", "pfmb", "tsfmb", "lkv")
-    bench_seeds = tuple(range(seed, seed + 5))
-    fractions = (0.02, 0.05, 0.10, 0.25, 0.50)
-    curve_seeds = 5
-    if cp.has_section("benchmark"):
-        sec = cp["benchmark"]
-        if "models" in sec:
-            bench_models = tuple(sec["models"].replace(",", " ").split())
-        if "seeds" in sec:
-            bench_seeds = _parse_ints(sec["seeds"])
-        if "fractions" in sec:
-            fractions = _parse_floats(sec["fractions"])
-        if "curve_seeds" in sec:
-            curve_seeds = int(sec["curve_seeds"])
-
-    peg_kw = {}
-    world_kw = {}
-    if cp.has_section("peg"):
-        sec = cp["peg"]
-        for key, conv in (("n_demos", int), ("n_episodes", int),
-                          ("tau", float), ("rp_degree", int),
-                          ("rp_delta", float), ("rp_r_a", float),
-                          ("rp_max_cluster_points", int),
-                          ("rp_force_p", int),
-                          ("rp_width_scale", float)):
-            if key in sec:
-                peg_kw[key] = conv(sec[key])
-        for key in ("timeout", "grasp_radius", "place_radius"):
-            if key in sec:
-                world_kw[key] = float(sec[key])
-    if world_kw:
-        peg_kw["world"] = PegWorldConfig(**world_kw)
-    peg = PegRunConfig(**peg_kw)
-
-    return ExperimentConfig(seed=seed, train=train, env=env,
-                            protocol=protocol, split=split,
-                            bench_models=bench_models,
-                            bench_seeds=bench_seeds,
-                            curve_fractions=fractions,
-                            curve_seeds=curve_seeds, peg=peg)
+def _build(factory, values):
+    """factory(**values), each nested dict of values built first by the
+    default factory of its field; [env] values override default_env()."""
+    if factory is default_env:
+        return replace(default_env(), **values)
+    nested = {f.name: f.default_factory for f in fields(factory)}
+    return factory(**{key: _build(nested[key], v) if isinstance(v, dict)
+                      else v for key, v in values.items()})
 
 
 # ---------------------------------------------------------------------------

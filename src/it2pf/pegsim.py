@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Channel, Dataset, FuzzyModelError, IT2PFModel,
-                   ParameterError, materialize_ticks)
+from .core import (Channel, FuzzyModelError, IT2PFModel, ParameterError,
+                   materialize_ticks)
+from .envsim import _minjerk
 from .seeds import substream
 
 
@@ -70,10 +71,6 @@ class PegWorldConfig:
 # ---------------------------------------------------------------------------
 # Scripted operator
 # ---------------------------------------------------------------------------
-
-def _minjerk(tau):
-    return 10 * tau ** 3 - 15 * tau ** 4 + 6 * tau ** 5
-
 
 def _interp_keys(keys, t):
     """Minimum-jerk interpolation through (time, value) keyframes."""
@@ -507,13 +504,26 @@ def build_scripts(cfg: PegWorldConfig, seed: int = None):
             OperatorScript(right_pos, right_theta))
 
 
-def record_demonstrations(cfg: PegWorldConfig, n_demos: int, seed: int):
-    """n jittered demonstrations, merged into per-channel datasets."""
-    from .core import concat_datasets
-    mts, gas = [], []
+def demonstrations_ticks(cfg: PegWorldConfig, n_demos: int, seed: int):
+    """Per-tick records of n jittered demonstrations, demo d as trial d.
+
+    Each demo plays build_scripts with its own seed, derived from seed
+    here and nowhere else.  Returns one (t, trial_id, x, v, y) tuple per
+    channel (h_mt then h_ga), each the concatenation of
+    demonstration_ticks over the demos.
+    """
+    if n_demos < 1:
+        raise ParameterError("need at least one demonstration")
+    demos = []
     for d in range(n_demos):
         left, right = build_scripts(cfg, seed=seed * 1009 + d)
-        mt, ga = record_demonstration(cfg, left, right)
-        mts.append(mt)
-        gas.append(ga)
-    return concat_datasets(mts), concat_datasets(gas)
+        demos.append(demonstration_ticks(cfg, left, right, trial=d))
+    return tuple(tuple(np.concatenate(cols) for cols in zip(*channel))
+                 for channel in zip(*demos))
+
+
+def record_demonstrations(cfg: PegWorldConfig, n_demos: int, seed: int):
+    """n jittered demonstrations, merged into per-channel datasets."""
+    mt, ga = demonstrations_ticks(cfg, n_demos, seed)
+    return (materialize_ticks(Channel.MOTION, cfg.dt, *mt),
+            materialize_ticks(Channel.GESTURE, cfg.dt, *ga))

@@ -8,8 +8,10 @@ import pytest
 from it2pf.core import Channel, materialize_ticks
 from it2pf.baselines import LKVModel, fit_lkv
 from it2pf.cli import main
+from it2pf.envsim import GaussianBump, default_env
 from it2pf.identify import TrainConfig, train
 from it2pf.modelio import (
+    _CONFIG_KEYS,
     ConfigError,
     FormatError,
     load_model,
@@ -19,6 +21,7 @@ from it2pf.modelio import (
     save_model,
     write_dataset_csv,
 )
+from it2pf.pegsim import PegWorldConfig, record_demonstrations
 
 
 def _linear_ticks(n_trials=6, n_ticks=40, seed=0):
@@ -198,11 +201,125 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(str(tmp_path / "nope.ini"))
 
+    def test_malformed_file_rejected(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text("master = 0\n")
+        with pytest.raises(ConfigError):
+            parse_config(str(path))
+
     def test_invalid_value_reported_as_config_error(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text("[seeds]\nmaster = 0\n[split]\nfraction = 1.5\n")
         with pytest.raises(ConfigError):
             parse_config(str(path))
+
+    def test_env_key_overrides_default_env(self, tmp_path):
+        plain = tmp_path / "plain.ini"
+        plain.write_text("[seeds]\nmaster = 0\n")
+        damped = tmp_path / "damped.ini"
+        damped.write_text("[seeds]\nmaster = 0\n[env]\ndamping = 5.0\n")
+        assert parse_config(str(damped)) == parse_config(str(plain))
+        assert parse_config(str(plain)).env == default_env()
+
+    def test_unknown_model_name_rejected(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text("[seeds]\nmaster = 0\n"
+                        "[benchmark]\nmodels = lkv itpfml\n")
+        with pytest.raises(ConfigError, match="itpfml"):
+            parse_config(str(path))
+
+    def test_every_key_reaches_its_field(self, tmp_path):
+        lines, section = [], None
+        for (sec, key), (text, _, _) in EVERY_KEY.items():
+            if sec != section:
+                lines.append(f"[{sec}]")
+                section = sec
+            lines.append(f"{key} = {text}")
+        path = tmp_path / "exp.ini"
+        path.write_text("\n".join(lines) + "\n")
+        cfg = parse_config(str(path))
+        minimal = tmp_path / "min.ini"
+        minimal.write_text("[seeds]\nmaster = 0\n")
+        default = parse_config(str(minimal))
+        for (sec, key), (_, target, want) in EVERY_KEY.items():
+            got, was = cfg, default
+            for name in target.split("."):
+                got, was = getattr(got, name), getattr(was, name)
+            assert got == want and type(got) is type(want), (sec, key)
+            assert was != want, (sec, key)
+        # the master seed also seeds training, the protocol and the split
+        assert cfg.train.seed == cfg.protocol.seed == cfg.split.seed == 7
+
+    def test_accepted_keys_are_pinned(self):
+        assert set(_CONFIG_KEYS) == set(EVERY_KEY)
+
+
+# Every accepted INI key: (section, key) -> (text, field, parsed value),
+# each value different from the default.
+EVERY_KEY = {
+    ("seeds", "master"): ("7", "seed", 7),
+    ("train", "degree"): ("0", "train.degree", 0),
+    ("train", "delta"): ("0.15", "train.delta", 0.15),
+    ("train", "huber_k"): ("2.0", "train.huber_k", 2.0),
+    ("train", "irls_max_iter"): ("40", "train.irls_max_iter", 40),
+    ("train", "irls_tol"): ("1e-7", "train.irls_tol", 1e-7),
+    ("train", "fcm_fuzzifier"): ("1.5", "train.fcm_fuzzifier", 1.5),
+    ("train", "fcm_tol"): ("1e-5", "train.fcm_tol", 1e-5),
+    ("train", "fcm_max_iter"): ("150", "train.fcm_max_iter", 150),
+    ("train", "width_floor"): ("0.002", "train.width_floor", 0.002),
+    ("train", "b_lower"): ("0.3", "train.tr_config.b_lower", 0.3),
+    ("train", "b_upper"): ("0.7", "train.tr_config.b_upper", 0.7),
+    ("train", "epsilon_floor"): ("1e-10", "train.epsilon_floor", 1e-10),
+    ("train", "force_p"): ("6", "train.force_p", 6),
+    ("train", "max_rules"): ("8", "train.max_rules", 8),
+    ("train", "max_cluster_points"): ("1000", "train.max_cluster_points",
+                                      1000),
+    ("train", "drop_weak_rules"): ("false", "train.drop_weak_rules", False),
+    ("clustering", "r_a"): ("0.4", "train.subtractive.r_a", 0.4),
+    ("clustering", "r_b"): ("0.7", "train.subtractive.r_b", 0.7),
+    ("clustering", "accept_ratio"): ("0.6", "train.subtractive.accept_ratio",
+                                     0.6),
+    ("clustering", "reject_ratio"): ("0.2", "train.subtractive.reject_ratio",
+                                     0.2),
+    ("env", "base_stiffness"): ("900", "env.base_stiffness", 900.0),
+    ("env", "damping"): ("7.5", "env.damping", 7.5),
+    ("env", "exponent"): ("1.25", "env.exponent", 1.25),
+    ("env", "surface_height"): ("0.001", "env.surface_height", 0.001),
+    ("env", "bumps"): ("100 0.1 0.1 0.05; -50 0.05 0.15 0.03", "env.bumps",
+                       (GaussianBump(100.0, (0.1, 0.1), 0.05),
+                        GaussianBump(-50.0, (0.05, 0.15), 0.03))),
+    ("protocol", "depths"): ("0.001 0.004", "protocol.depths", (0.001, 0.004)),
+    ("protocol", "trials_per_level"): ("3", "protocol.trials_per_level", 3),
+    ("protocol", "dt"): ("0.02", "protocol.dt", 0.02),
+    ("protocol", "press_duration"): ("0.4", "protocol.press_duration", 0.4),
+    ("protocol", "hold_duration"): ("0.2", "protocol.hold_duration", 0.2),
+    ("protocol", "clearance"): ("0.004", "protocol.clearance", 0.004),
+    ("protocol", "position_noise"): ("2e-4", "protocol.position_noise", 2e-4),
+    ("protocol", "force_noise"): ("0.1", "protocol.force_noise", 0.1),
+    ("protocol", "location_jitter"): ("0.001", "protocol.location_jitter",
+                                      0.001),
+    ("protocol", "grid"): ("3 2 0.0 0.1 0.0 0.1", "protocol.grid",
+                           ((0.0, 0.0), (0.05, 0.0), (0.1, 0.0),
+                            (0.0, 0.1), (0.05, 0.1), (0.1, 0.1))),
+    ("split", "fraction"): ("0.3", "split.fraction", 0.3),
+    ("benchmark", "models"): ("lkv, pfmb", "bench_models", ("lkv", "pfmb")),
+    ("benchmark", "seeds"): ("11 12", "bench_seeds", (11, 12)),
+    ("benchmark", "fractions"): ("0.1 0.3", "curve_fractions", (0.1, 0.3)),
+    ("benchmark", "curve_seeds"): ("3", "curve_seeds", 3),
+    ("peg", "n_demos"): ("3", "peg.n_demos", 3),
+    ("peg", "n_episodes"): ("4", "peg.n_episodes", 4),
+    ("peg", "tau"): ("0.05", "peg.tau", 0.05),
+    ("peg", "rp_degree"): ("1", "peg.rp_degree", 1),
+    ("peg", "rp_delta"): ("0.15", "peg.rp_delta", 0.15),
+    ("peg", "rp_r_a"): ("0.3", "peg.rp_r_a", 0.3),
+    ("peg", "rp_max_cluster_points"): ("1200", "peg.rp_max_cluster_points",
+                                       1200),
+    ("peg", "rp_force_p"): ("20", "peg.rp_force_p", 20),
+    ("peg", "rp_width_scale"): ("1.5", "peg.rp_width_scale", 1.5),
+    ("peg", "timeout"): ("25", "peg.world.timeout", 25.0),
+    ("peg", "grasp_radius"): ("0.004", "peg.world.grasp_radius", 0.004),
+    ("peg", "place_radius"): ("0.02", "peg.world.place_radius", 0.02),
+}
 
 
 @pytest.fixture
@@ -285,6 +402,43 @@ class TestCLI:
                      "--out", str(tmp_path / "m.json")])
         assert code == 1
         assert "error:training" in capsys.readouterr().err
+
+    def test_unknown_model_name_exit_code(self, tmp_path, small_config,
+                                          capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(open(small_config).read().replace(
+            "models = lkv tsfmb", "models = lkv itpfml"))
+        data = str(tmp_path / "env.csv")
+        main(["gen-env", "--config", small_config, "--out", data])
+        out = tmp_path / "report.csv"
+        code = main(["benchmark", "--config", str(bad), "--data", data,
+                     "--out", str(out)])
+        assert code == 1
+        assert "error:config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_demo_writes_the_recorded_demonstrations(self, tmp_path):
+        cfg_path = tmp_path / "peg.ini"
+        cfg_path.write_text("[seeds]\nmaster = 3\n[peg]\nn_demos = 2\n")
+        mt, ga = str(tmp_path / "mt.csv"), str(tmp_path / "ga.csv")
+        assert main(["gen-demo", "--config", str(cfg_path), "--out-mt", mt,
+                     "--out-ga", ga]) == 0
+        recorded = record_demonstrations(PegWorldConfig(), 2, seed=3)
+        for path, want in zip((mt, ga), recorded):
+            got = read_dataset_csv(path)
+            assert got.channel is want.channel
+            for name in ("x", "v", "v_next", "y", "trial_id", "t"):
+                assert np.array_equal(getattr(got, name),
+                                      getattr(want, name)), name
+
+    def test_gen_demo_without_demos_is_an_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "peg.ini"
+        cfg_path.write_text("[seeds]\nmaster = 0\n[peg]\nn_demos = 0\n")
+        code = main(["gen-demo", "--config", str(cfg_path),
+                     "--out-mt", str(tmp_path / "mt.csv"),
+                     "--out-ga", str(tmp_path / "ga.csv")])
+        assert code == 1
+        assert "error:parameter" in capsys.readouterr().err
 
     def test_peg_pipeline_smoke(self, tmp_path, capsys):
         cfg_path = tmp_path / "peg.ini"
