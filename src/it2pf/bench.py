@@ -102,7 +102,6 @@ class BenchmarkReport:
     rows: list = field(default_factory=list)        # per-trial rows
     aggregates: list = field(default_factory=list)  # per model x seed
     failures: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
     def srmse(self, model, seed) -> float:
         for a in self.aggregates:
@@ -125,11 +124,7 @@ def run_benchmark(dataset: Dataset, models, split: Split, seeds,
     if not models:
         raise ParameterError("need at least one model")
     config = config or TrainConfig()
-    report = BenchmarkReport(metadata={
-        "fraction": split.fraction, "seeds": list(seeds),
-        "models": list(models), "degree": config.degree,
-        "delta": config.delta,
-    })
+    report = BenchmarkReport()
     for seed in seeds:
         tr, te = split_trials(dataset, replace(split, seed=seed))
         for name in models:
@@ -171,28 +166,22 @@ def learning_curve(dataset: Dataset, model_factory, fractions, n_seeds,
         for s in range(n_seeds):
             seed = seed_base + s
             tr, te = split_trials(dataset, Split(frac, seed))
+            value, error = float("nan"), ""
             try:
                 model = model_factory(tr, seed)
                 pred, _ = model.predict_batch(te.x, te.v, te.v_next)
                 value = rmse(pred, te.y)
             except FuzzyModelError as exc:
-                cells.append({"fraction": frac, "seed": seed,
-                              "rmse": float("nan"), "error": str(exc)})
-                continue
+                error = str(exc)
             cells.append({"fraction": frac, "seed": seed, "rmse": value,
-                          "error": ""})
+                          "error": error})
     summary = []
     for frac in fractions:
         vals = np.array([c["rmse"] for c in cells
                          if c["fraction"] == frac and np.isfinite(c["rmse"])])
-        if vals.size:
-            summary.append({"fraction": frac,
-                            "median_rmse": float(np.median(vals)),
-                            "q25": float(np.percentile(vals, 25)),
-                            "q75": float(np.percentile(vals, 75)),
-                            "n_ok": int(vals.size)})
-        else:
-            summary.append({"fraction": frac, "median_rmse": float("nan"),
-                            "q25": float("nan"), "q75": float("nan"),
-                            "n_ok": 0})
+        stats = [np.median(vals), np.percentile(vals, 25),
+                 np.percentile(vals, 75)] if vals.size else [np.nan] * 3
+        med, q25, q75 = map(float, stats)
+        summary.append({"fraction": frac, "median_rmse": med, "q25": q25,
+                        "q75": q75, "n_ok": int(vals.size)})
     return {"cells": cells, "summary": summary}

@@ -21,9 +21,9 @@ from .envsim import generate_benchmark_ticks
 from .identify import train
 from .modelio import (ConfigError, FormatError, atomic_write_text,
                       benchmark_report_csv, episode_report_csv,
-                      learning_curve_csv, parse_config, read_dataset_csv,
-                      load_model, save_model, trace_csv, write_dataset_csv,
-                      _fmt)
+                      fit_report_csv, learning_curve_csv, parse_config,
+                      predictions_csv, read_dataset_csv, load_model,
+                      save_model, trace_csv, write_dataset_csv, _fmt)
 from .pegsim import (RPController, build_scripts, demonstrations_ticks,
                      run_episode)
 
@@ -68,9 +68,7 @@ def _cmd_train(args):
     print(f"trained {args.model} on {dataset.n_samples} samples; "
           f"training_rmse={_fmt(training_rmse)}")
     if args.report:
-        atomic_write_text(
-            args.report,
-            f"#it2pf-fit-report-v1\ntraining_rmse,{_fmt(training_rmse)}\n")
+        atomic_write_text(args.report, fit_report_csv(training_rmse))
     return 0
 
 
@@ -78,13 +76,8 @@ def _cmd_predict(args):
     model = load_model(args.model)
     dataset = read_dataset_csv(args.data)
     pred, _ = model.predict_batch(dataset.x, dataset.v, dataset.v_next)
-    lines = ["#it2pf-predictions-v1"]
-    lines.append("t,trial_id," + ",".join(f"yhat{i+1}"
-                                          for i in range(pred.shape[1])))
-    for k in range(pred.shape[0]):
-        lines.append(f"{_fmt(dataset.t[k])},{int(dataset.trial_id[k])},"
-                     + ",".join(_fmt(u) for u in pred[k]))
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    atomic_write_text(args.out,
+                      predictions_csv(dataset.t, dataset.trial_id, pred))
     print(f"rmse={_fmt(rmse(pred, dataset.y))}")
     return 0
 

@@ -112,10 +112,12 @@ class PressProtocol:
 
     def __post_init__(self):
         d = np.asarray(self.depths)
-        if np.any(d <= 0) or np.any(np.diff(d) <= 0):
-            raise ParameterError("depths must be strictly increasing and > 0")
+        if d.size == 0 or np.any(d <= 0) or np.any(np.diff(d) <= 0):
+            raise ParameterError("need one or more depths, increasing and > 0")
         if self.trials_per_level < 1:
             raise ParameterError("trials_per_level must be >= 1")
+        if not self.grid:
+            raise ParameterError("grid must hold at least one location")
         if self.dt <= 0:
             raise ParameterError("dt must be > 0")
 

@@ -64,7 +64,6 @@ class FitReport:
     dropped_rules: int = 0
     degenerate_samples: int = 0
     training_rmse: float = float("nan")
-    notes: list = field(default_factory=list)
 
 
 def assemble_regressor(z, x, v, v_next, dt, degree) -> np.ndarray:
@@ -204,28 +203,21 @@ def _subsample_indices(N, cap):
 
 def _initial_centers(points_std, hyper, config):
     """Pick rule centers; returns indices into the full point set."""
-    N = points_std.shape[0]
-    sub = _subsample_indices(N, config.max_cluster_points)
-    if config.force_p is not None:
-        p = config.force_p
-        if p < 1:
-            raise ParameterError("force_p must be >= 1")
-        if p == 1:
-            return None, 1  # caller uses the mean
-        idx = subtractive_cluster(hyper[sub], config.subtractive)
-        idx = list(sub[idx])
-        # top up with farthest-point selection if subtractive found too few
-        while len(idx) < p:
-            chosen = points_std[idx]
-            d = np.min(np.sum((points_std[:, None, :] - chosen[None]) ** 2,
-                              axis=2), axis=1)
-            idx.append(int(np.argmax(d)))
-        return np.array(idx[:p]), p
-    idx = subtractive_cluster(hyper[sub], config.subtractive)
-    idx = sub[idx]
-    if config.max_rules is not None:
-        idx = idx[:config.max_rules]
-    return np.array(idx), len(idx)
+    p = config.force_p
+    if p is not None and p < 1:
+        raise ParameterError("force_p must be >= 1")
+    sub = _subsample_indices(points_std.shape[0], config.max_cluster_points)
+    idx = list(sub[subtractive_cluster(hyper[sub], config.subtractive)])
+    if p is None:
+        idx = idx[:config.max_rules]  # max_rules None keeps every center
+        return np.array(idx), len(idx)
+    # top up with farthest-point selection if subtractive found too few
+    while len(idx) < p:
+        chosen = points_std[idx]
+        d = np.min(np.sum((points_std[:, None, :] - chosen[None]) ** 2,
+                          axis=2), axis=1)
+        idx.append(int(np.argmax(d)))
+    return np.array(idx[:p]), p
 
 
 def train(dataset: Dataset, config: TrainConfig):
@@ -255,10 +247,9 @@ def train(dataset: Dataset, config: TrainConfig):
     hyper = (points - lo) / span
 
     center_idx, p = _initial_centers(points, hyper, config)
-    init = points.mean(axis=0)[None, :] if center_idx is None \
-        else points[center_idx]
-    result = fcm_refine(points, p, init, config.fcm_fuzzifier, config.fcm_tol,
-                        config.fcm_max_iter, config.width_floor)
+    result = fcm_refine(points, p, points[center_idx], config.fcm_fuzzifier,
+                        config.fcm_tol, config.fcm_max_iter,
+                        config.width_floor)
 
     report = FitReport()
     if config.width_scale <= 0:
@@ -283,9 +274,6 @@ def train(dataset: Dataset, config: TrainConfig):
             W, _ = type_reduce_batch(lo_f, up_f, config.tr_config,
                                      config.epsilon_floor)
             report.dropped_rules += 1
-        if report.dropped_rules:
-            report.notes.append(
-                f"dropped {report.dropped_rules} weakly fired rule(s)")
 
     regressors = regressor_matrix(Zn, dataset.x, dataset.v, dataset.v_next,
                                   dataset.dt, config.degree)

@@ -1,15 +1,15 @@
 """Persistence and configuration: CSV dataset files, structured-text model
-files, and the experiment configuration format.
+files, report tables, and the experiment configuration format.
 
-All formats are decimal text with a leading format-version field.  Floats
-are serialized with Python's shortest round-trip repr, so read(write(x))
-is bit-exact.  File writes are atomic (write temp, then rename).
+All formats are decimal text with a leading format-version field.  Every
+CSV file and report is written by one table writer (_table).  Floats are
+serialized with Python's shortest round-trip repr, so read(write(x)) is
+bit-exact.  File writes are atomic (write temp, then rename).
 """
 from __future__ import annotations
 
 import configparser
 import json
-import math
 import os
 import tempfile
 from dataclasses import dataclass, field, fields, replace
@@ -43,6 +43,41 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _cell(u) -> str:
+    """One table cell: text as is, an int or a bool as an integer, any other
+    number as a float by _fmt (so nan, inf and -inf are spelled by repr)."""
+    if isinstance(u, float):  # first, as most cells are floats
+        return _fmt(u)
+    if isinstance(u, str):
+        return u
+    if isinstance(u, (int, np.integer, np.bool_)):
+        return str(int(u))
+    return _fmt(u)
+
+
+def _table(first, columns, rows) -> str:
+    """Text of one table: the first line, the column line (none when there
+    are no columns), then one line of comma-separated cells per row.  A row
+    is a sequence of cells, or a dict whose cells are taken in column order,
+    so a table of dicts takes its column line and its rows from one list."""
+    lines = [first]
+    if columns:
+        lines.append(",".join(columns))
+    for row in rows:
+        if isinstance(row, dict):
+            row = [row[c] for c in columns]
+        lines.append(",".join(map(_cell, row)))
+    return "\n".join(lines) + "\n"
+
+
+def _joined_rows(*blocks):
+    """Rows of cells from column blocks of one length each: a 1-D block
+    gives one cell per row, a 2-D block one cell per column."""
+    blocks = [np.column_stack((b,)) for b in blocks]
+    for k in range(blocks[0].shape[0]):
+        yield sum((b[k].tolist() for b in blocks), [])
+
+
 def atomic_write_text(path, text):
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
@@ -70,18 +105,11 @@ def write_dataset_csv(path, channel: Channel, dt, t, trial_id, x, v, y):
     if x.shape[0] == 1 and t.shape[0] > 1:
         x, v, y = x.T, v.T, y.T
     n, m = x.shape[1], y.shape[1]
-    lines = [f"#{DATASET_FORMAT} channel={channel.value} dt={_fmt(dt)} "
-             f"n={n} m={m}"]
-    cols = (["t", "trial_id"] + [f"x{i+1}" for i in range(n)]
-            + [f"v{i+1}" for i in range(n)] + [f"y{i+1}" for i in range(m)])
-    lines.append(",".join(cols))
-    for k in range(t.shape[0]):
-        row = [_fmt(t[k]), str(int(trial_id[k]))]
-        row += [_fmt(u) for u in x[k]]
-        row += [_fmt(u) for u in v[k]]
-        row += [_fmt(u) for u in y[k]]
-        lines.append(",".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    columns = (["t", "trial_id"] + [f"x{i+1}" for i in range(n)]
+               + [f"v{i+1}" for i in range(n)] + [f"y{i+1}" for i in range(m)])
+    atomic_write_text(path, _table(
+        f"#{DATASET_FORMAT} channel={channel.value} dt={_fmt(dt)} n={n} m={m}",
+        columns, _joined_rows(t, trial_id, x, v, y)))
 
 
 def read_dataset_ticks(path):
@@ -115,9 +143,13 @@ def read_dataset_ticks(path):
                 raise FormatError(
                     f"{path}:{lineno}: expected {want} fields, got {len(parts)}")
             try:
-                rows.append([float(u) for u in parts])
+                row = [float(u) for u in parts]
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            if not row[1].is_integer():
+                raise FormatError(f"{path}:{lineno}: trial_id {parts[1]!r} "
+                                  "is not an integer")
+            rows.append(row)
     if not rows:
         raise FormatError(f"{path}: no data rows")
     data = np.array(rows)
@@ -267,8 +299,15 @@ def _parse_floats(s):
     return tuple(float(u) for u in _words(s))
 
 
-def _parse_ints(s):
-    return tuple(int(u) for u in _words(s))
+def _parse_seed(s):
+    seed = int(s)
+    if seed < 0:
+        raise ConfigError(f"seeds must be >= 0, got {seed}")
+    return seed
+
+
+def _parse_seeds(s):
+    return tuple(_parse_seed(u) for u in _words(s))
 
 
 def _parse_bool(s):
@@ -317,7 +356,8 @@ def _keys(section, target, parser, *keys):
 # its dataclass default; the benchmark's split seeds default to the five
 # seeds from the master seed on (parse_config).
 _CONFIG_KEYS = {
-    ("seeds", "master"): (int, "seed train.seed protocol.seed split.seed"),
+    ("seeds", "master"): (_parse_seed,
+                          "seed train.seed protocol.seed split.seed"),
     **_keys("train", "train", int, "degree", "irls_max_iter",
             "fcm_max_iter", "force_p", "max_rules", "max_cluster_points"),
     **_keys("train", "train", float, "delta", "huber_k", "irls_tol",
@@ -337,7 +377,7 @@ _CONFIG_KEYS = {
     **_keys("protocol", "protocol", _parse_grid, "grid"),
     **_keys("split", "split", float, "fraction"),
     ("benchmark", "models"): (_parse_models, "bench_models"),
-    ("benchmark", "seeds"): (_parse_ints, "bench_seeds"),
+    ("benchmark", "seeds"): (_parse_seeds, "bench_seeds"),
     ("benchmark", "fractions"): (_parse_floats, "curve_fractions"),
     ("benchmark", "curve_seeds"): (int, "curve_seeds"),
     **_keys("peg", "peg", int, "n_demos", "n_episodes", "rp_degree",
@@ -406,63 +446,50 @@ def _build(factory, values):
 # ---------------------------------------------------------------------------
 
 def benchmark_report_csv(report) -> str:
-    lines = ["#it2pf-benchmark-v1"]
-    lines.append("model,seed,fraction,trial_id,rmse,mae")
-    for r in report.rows:
-        lines.append(f"{r['model']},{r['seed']},{_fmt(r['fraction'])},"
-                     f"{r['trial_id']},{_fmt(r['rmse'])},{_fmt(r['mae'])}")
-    lines.append("#aggregate")
-    lines.append("model,seed,fraction,srmse,smae,pooled_rmse,pooled_mae")
-    for a in report.aggregates:
-        lines.append(f"{a['model']},{a['seed']},{_fmt(a['fraction'])},"
-                     f"{_fmt(a['srmse'])},{_fmt(a['smae'])},"
-                     f"{_fmt(a['pooled_rmse'])},{_fmt(a['pooled_mae'])}")
-    for f in report.failures:
-        lines.append(f"#failure,{f['model']},{f['seed']},{f['error']}")
-    return "\n".join(lines) + "\n"
+    failures = [("#failure", f["model"], f["seed"], f["error"])
+                for f in report.failures]
+    return (_table("#it2pf-benchmark-v1",
+                   ("model", "seed", "fraction", "trial_id", "rmse", "mae"),
+                   report.rows)
+            + _table("#aggregate",
+                     ("model", "seed", "fraction", "srmse", "smae",
+                      "pooled_rmse", "pooled_mae"),
+                     report.aggregates + failures))
 
 
 def learning_curve_csv(curve) -> str:
-    lines = ["#it2pf-learning-curve-v1"]
-    lines.append("fraction,seed,rmse,error")
-    for c in curve["cells"]:
-        val = _fmt(c["rmse"]) if math.isfinite(c["rmse"]) else "nan"
-        lines.append(f"{_fmt(c['fraction'])},{c['seed']},{val},{c['error']}")
-    lines.append("#summary")
-    lines.append("fraction,median_rmse,q25,q75,n_ok")
-    for s in curve["summary"]:
-        med = _fmt(s["median_rmse"]) if math.isfinite(s["median_rmse"]) \
-            else "nan"
-        q25 = _fmt(s["q25"]) if math.isfinite(s["q25"]) else "nan"
-        q75 = _fmt(s["q75"]) if math.isfinite(s["q75"]) else "nan"
-        lines.append(f"{_fmt(s['fraction'])},{med},{q25},{q75},{s['n_ok']}")
-    return "\n".join(lines) + "\n"
+    return (_table("#it2pf-learning-curve-v1",
+                   ("fraction", "seed", "rmse", "error"), curve["cells"])
+            + _table("#summary",
+                     ("fraction", "median_rmse", "q25", "q75", "n_ok"),
+                     curve["summary"]))
 
 
 def episode_report_csv(episodes) -> str:
     """episodes: list of (seed, EpisodeReport)."""
-    lines = ["#it2pf-peg-episodes-v1"]
-    lines.append("seed,completed,completion_time,handover_error,phase")
-    for seed, rep in episodes:
-        ct = _fmt(rep.completion_time) if math.isfinite(rep.completion_time) \
-            else "nan"
-        he = _fmt(rep.handover_error) if math.isfinite(rep.handover_error) \
-            else "nan"
-        lines.append(f"{seed},{int(rep.completed)},{ct},{he},{rep.phase}")
-    return "\n".join(lines) + "\n"
+    return _table("#it2pf-peg-episodes-v1",
+                  ("seed", "completed", "completion_time", "handover_error",
+                   "phase"),
+                  ({"seed": seed, **vars(rep)} for seed, rep in episodes))
 
 
 def trace_csv(trace) -> str:
-    lines = ["#it2pf-peg-trace-v1"]
-    lines.append("t,lx,ly,lz,ltheta,rx,ry,rz,rtheta,bx,by,bz,state,degenerate")
-    for k in range(trace["t"].shape[0]):
-        row = [_fmt(trace["t"][k])]
-        row += [_fmt(u) for u in trace["left_pos"][k]]
-        row.append(_fmt(trace["left_theta"][k]))
-        row += [_fmt(u) for u in trace["right_pos"][k]]
-        row.append(_fmt(trace["right_theta"][k]))
-        row += [_fmt(u) for u in trace["block_pos"][k]]
-        row.append(str(int(trace["state"][k])))
-        row.append(str(int(trace["degenerate"][k])))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return _table("#it2pf-peg-trace-v1",
+                  ("t", "lx", "ly", "lz", "ltheta", "rx", "ry", "rz", "rtheta",
+                   "bx", "by", "bz", "state", "degenerate"),
+                  _joined_rows(*(trace[key] for key in (
+                      "t", "left_pos", "left_theta", "right_pos",
+                      "right_theta", "block_pos", "state", "degenerate"))))
+
+
+def predictions_csv(t, trial_id, pred) -> str:
+    """A model's predictions pred (N, m) over the dataset rows (t, trial_id)."""
+    return _table("#it2pf-predictions-v1",
+                  ["t", "trial_id"] + [f"yhat{i+1}"
+                                       for i in range(pred.shape[1])],
+                  _joined_rows(t, trial_id, pred))
+
+
+def fit_report_csv(training_rmse) -> str:
+    return _table("#it2pf-fit-report-v1", (),
+                  [("training_rmse", training_rmse)])

@@ -7,6 +7,7 @@ import pytest
 
 from it2pf.core import Channel, materialize_ticks
 from it2pf.baselines import LKVModel, fit_lkv
+from it2pf.bench import BenchmarkReport
 from it2pf.cli import main
 from it2pf.envsim import GaussianBump, default_env
 from it2pf.identify import TrainConfig, train
@@ -14,14 +15,18 @@ from it2pf.modelio import (
     _CONFIG_KEYS,
     ConfigError,
     FormatError,
+    benchmark_report_csv,
+    episode_report_csv,
+    learning_curve_csv,
     load_model,
     parse_config,
     read_dataset_csv,
     read_dataset_ticks,
     save_model,
+    trace_csv,
     write_dataset_csv,
 )
-from it2pf.pegsim import PegWorldConfig, record_demonstrations
+from it2pf.pegsim import EpisodeReport, PegWorldConfig, record_demonstrations
 
 
 def _linear_ticks(n_trials=6, n_ticks=40, seed=0):
@@ -80,16 +85,26 @@ class TestDatasetCSV:
 
     def test_non_numeric_field_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
-        path.write_text("#it2pf-dataset-v1 channel=env dt=0.01 n=1 m=1\n"
+        path.write_text("#it2pf-dataset-v1 channel=e dt=0.01 n=1 m=1\n"
                         "t,trial_id,x1,v1,y1\n0.0,0,oops,0.0,0.0\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=":3: could not convert .*oops"):
             read_dataset_ticks(str(path))
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
-        path.write_text("#it2pf-dataset-v1 channel=env dt=0.01 n=1 m=1\n"
+        path.write_text("#it2pf-dataset-v1 channel=e dt=0.01 n=1 m=1\n"
                         "t,trial_id,x1,v1,y1\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="no data rows"):
+            read_dataset_ticks(str(path))
+
+    @pytest.mark.parametrize("trial_id", ["0.5", "1.7", "nan"])
+    def test_non_integer_trial_id_rejected(self, tmp_path, trial_id):
+        path = tmp_path / "d.csv"
+        path.write_text("#it2pf-dataset-v1 channel=e dt=0.01 n=1 m=1\n"
+                        "t,trial_id,x1,v1,y1\n0.0,0,0.0,0.0,0.0\n"
+                        f"0.01,{trial_id},0.0,0.0,0.0\n")
+        with pytest.raises(FormatError,
+                           match=f":4: trial_id '{trial_id}' is not an integer"):
             read_dataset_ticks(str(path))
 
 
@@ -322,6 +337,127 @@ EVERY_KEY = {
 }
 
 
+class TestTableGoldens:
+    """Each table format against its literal text: floats in shortest
+    round-trip form, nan spelled "nan", flags and trial ids as integers."""
+
+    def test_dataset(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_dataset_csv(str(path), Channel.MOTION, 0.01,
+                          [0.0, 0.01, 0.02], [3, 3, 4],
+                          [[0.1, -2.0], [1 / 3, 0.0], [1e-20, 5.0]],
+                          [[0.0, 1.0], [0.5, -0.25], [2.0, 3.0]],
+                          [[1.5], [float("nan")], [-7.0]])
+        assert path.read_text() == (
+            "#it2pf-dataset-v1 channel=h_mt dt=0.01 n=2 m=1\n"
+            "t,trial_id,x1,x2,v1,v2,y1\n"
+            "0.0,3,0.1,-2.0,0.0,1.0,1.5\n"
+            "0.01,3,0.3333333333333333,0.0,0.5,-0.25,nan\n"
+            "0.02,4,1e-20,5.0,2.0,3.0,-7.0\n")
+
+    def test_benchmark_report(self):
+        report = BenchmarkReport(
+            rows=[{"model": "lkv", "seed": 2, "fraction": 0.1,
+                   "trial_id": 17, "rmse": 0.25, "mae": float("nan")}],
+            aggregates=[{"model": "lkv", "seed": 2, "fraction": 0.1,
+                         "srmse": 0.25, "smae": float("nan"),
+                         "pooled_rmse": 1 / 3, "pooled_mae": 1e-5}],
+            failures=[{"model": "it2pfml", "seed": 2,
+                       "error": "rule 0: too few samples"}])
+        assert benchmark_report_csv(report) == (
+            "#it2pf-benchmark-v1\n"
+            "model,seed,fraction,trial_id,rmse,mae\n"
+            "lkv,2,0.1,17,0.25,nan\n"
+            "#aggregate\n"
+            "model,seed,fraction,srmse,smae,pooled_rmse,pooled_mae\n"
+            "lkv,2,0.1,0.25,nan,0.3333333333333333,1e-05\n"
+            "#failure,it2pfml,2,rule 0: too few samples\n")
+
+    def test_learning_curve(self):
+        nan = float("nan")
+        curve = {
+            "cells": [{"fraction": 0.02, "seed": 0, "rmse": nan,
+                       "error": "rule 1: no samples"},
+                      {"fraction": 0.5, "seed": 0, "rmse": 0.0557,
+                       "error": ""}],
+            "summary": [{"fraction": 0.02, "median_rmse": nan, "q25": nan,
+                         "q75": nan, "n_ok": 0},
+                        {"fraction": 0.5, "median_rmse": 0.0557,
+                         "q25": 0.05, "q75": 0.0625, "n_ok": 1}]}
+        assert learning_curve_csv(curve) == (
+            "#it2pf-learning-curve-v1\n"
+            "fraction,seed,rmse,error\n"
+            "0.02,0,nan,rule 1: no samples\n"
+            "0.5,0,0.0557,\n"
+            "#summary\n"
+            "fraction,median_rmse,q25,q75,n_ok\n"
+            "0.02,nan,nan,nan,0\n"
+            "0.5,0.0557,0.05,0.0625,1\n")
+
+    def test_episode_report(self):
+        nan = float("nan")
+        episodes = [(7919, EpisodeReport(True, 13.399999999999759, 0.0005,
+                                         "done")),
+                    (7920, EpisodeReport(False, nan, nan, "place"))]
+        assert episode_report_csv(episodes) == (
+            "#it2pf-peg-episodes-v1\n"
+            "seed,completed,completion_time,handover_error,phase\n"
+            "7919,1,13.399999999999759,0.0005,done\n"
+            "7920,0,nan,nan,place\n")
+
+    def test_trace(self):
+        trace = {"t": np.array([0.01, 0.02]),
+                 "left_pos": np.array([[-0.06, 0.0, 0.06], [0.1, 0.2, 0.3]]),
+                 "left_theta": np.array([1.0, 0.5]),
+                 "right_pos": np.array([[0.18, 0.06, 0.06], [1 / 3, 0, 1]]),
+                 "right_theta": np.array([1.0471975511965976, 0.0]),
+                 "block_pos": np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.5]]),
+                 "state": np.array([0, 3]),
+                 "degenerate": np.array([False, True])}
+        assert trace_csv(trace) == (
+            "#it2pf-peg-trace-v1\n"
+            "t,lx,ly,lz,ltheta,rx,ry,rz,rtheta,bx,by,bz,state,degenerate\n"
+            "0.01,-0.06,0.0,0.06,1.0,0.18,0.06,0.06,1.0471975511965976,"
+            "0.0,0.0,0.0,0,0\n"
+            "0.02,0.1,0.2,0.3,0.5,0.3333333333333333,0.0,1.0,0.0,"
+            "0.0,0.0,2.5,3,1\n")
+
+    # two ticks of trial 0 and one of trial 2 keep a successor on read
+    GOLDEN_DATA = ("#it2pf-dataset-v1 channel=e dt=0.01 n=1 m=1\n"
+                   "t,trial_id,x1,v1,y1\n"
+                   "0.0,0,0.25,1.0,0.0\n"
+                   "0.01,0,-1.5,0.5,0.0\n"
+                   "0.02,0,9.0,9.0,0.0\n"
+                   "0.5,2,0.1,0.2,0.0\n"
+                   "0.51,2,9.0,9.0,0.0\n")
+
+    def test_predictions(self, tmp_path):
+        data, model = tmp_path / "d.csv", tmp_path / "lkv.json"
+        data.write_text(self.GOLDEN_DATA)
+        model.write_text(json.dumps({"format": "it2pf-lkv-v1",
+                                     "K": [[2.0]], "C": [[0.5]]}))
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(model), "--data", str(data),
+                     "--out", str(out)]) == 0
+        assert out.read_text() == ("#it2pf-predictions-v1\n"
+                                   "t,trial_id,yhat1\n"
+                                   "0.0,0,1.0\n"
+                                   "0.01,0,-2.75\n"
+                                   "0.5,2,0.30000000000000004\n")
+
+    def test_fit_report(self, tmp_path):
+        data, ini = tmp_path / "d.csv", tmp_path / "exp.ini"
+        data.write_text(self.GOLDEN_DATA)
+        ini.write_text("[seeds]\nmaster = 0\n")
+        report = tmp_path / "fit.csv"
+        # y = 0 is fitted exactly by K = C = 0
+        assert main(["train", "--config", str(ini), "--data", str(data),
+                     "--out", str(tmp_path / "m.json"), "--model", "lkv",
+                     "--report", str(report)]) == 0
+        assert report.read_text() == ("#it2pf-fit-report-v1\n"
+                                      "training_rmse,0.0\n")
+
+
 @pytest.fixture
 def small_config(tmp_path):
     path = tmp_path / "exp.ini"
@@ -374,6 +510,26 @@ class TestCLI:
         code = main(["gen-env", "--config", str(bad),
                      "--out", str(tmp_path / "x.csv")])
         assert code == 1
+        assert "error:config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,section", [
+        ("gen-env", "[seeds]\nmaster = -2\n"),
+        ("benchmark", "[seeds]\nmaster = 0\n[benchmark]\nseeds = 0 -1\n"),
+        ("gen-env", "[seeds]\nmaster = 0\n"
+                    "[protocol]\ngrid = 0 2 0.02 0.18 0.02 0.18\n"),
+        ("gen-env", "[seeds]\nmaster = 0\n[protocol]\ndepths =\n"),
+    ], ids=["negative-master-seed", "negative-benchmark-seed", "empty-grid",
+            "no-depths"])
+    def test_bad_seed_or_protocol_is_a_config_error(
+            self, tmp_path, small_config, capsys, command, section):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(section)
+        args = ["--config", str(bad), "--out", str(tmp_path / "out.csv")]
+        if command == "benchmark":
+            data = str(tmp_path / "env.csv")
+            main(["gen-env", "--config", small_config, "--out", data])
+            args += ["--data", data]
+        assert main([command] + args) == 1
         assert "error:config" in capsys.readouterr().err
 
     def test_format_error_exit_code(self, tmp_path, small_config, capsys):
