@@ -16,7 +16,6 @@ class LKVModel:
 
     K: np.ndarray  # (m, n)
     C: np.ndarray  # (m, n)
-    rank_fallback: bool = False
 
     def __post_init__(self):
         K = np.atleast_2d(np.asarray(self.K, dtype=float))
@@ -53,8 +52,8 @@ def fit_lkv(dataset: Dataset) -> LKVModel:
     if dataset.n_samples < 2 * n:
         raise TrainingError(f"need at least {2 * n} samples to fit LKV")
     A = np.hstack([dataset.x, dataset.v])
-    theta, _, rank, _ = np.linalg.lstsq(A, dataset.y, rcond=None)
-    return LKVModel(theta[:n].T, theta[n:].T, rank_fallback=rank < 2 * n)
+    theta, *_ = np.linalg.lstsq(A, dataset.y, rcond=None)
+    return LKVModel(theta[:n].T, theta[n:].T)
 
 
 def predict_lkv(model: LKVModel, x, v):

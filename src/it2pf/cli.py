@@ -98,7 +98,7 @@ def _cmd_learning_curve(args):
     dataset = read_dataset_csv(args.data)
 
     def factory(train_set, seed):
-        model, _ = train(train_set, replace(cfg.train, seed=seed))
+        model, _ = train(train_set, cfg.train)
         return model
 
     curve = learning_curve(dataset, factory, cfg.curve_fractions,

@@ -144,7 +144,9 @@ class Dataset:
         return np.hstack([self.x, self.v, self.v_next])
 
 
-def concat_datasets(parts, renumber_trials: bool = True) -> Dataset:
+def concat_datasets(parts) -> Dataset:
+    """One dataset from compatible parts; the trials of each part are
+    renumbered 0, 1, ... after those of the parts before it."""
     parts = list(parts)
     if not parts:
         raise StructuralError("no datasets to concatenate")
@@ -157,12 +159,9 @@ def concat_datasets(parts, renumber_trials: bool = True) -> Dataset:
     tids = []
     offset = 0
     for p in parts:
-        tid = p.trial_id
-        if renumber_trials:
-            _, dense = np.unique(tid, return_inverse=True)
-            tid = dense + offset
-            offset = tid.max() + 1
-        tids.append(tid)
+        _, dense = np.unique(p.trial_id, return_inverse=True)
+        tids.append(dense + offset)
+        offset = tids[-1].max() + 1
     return Dataset(
         ref.channel, ref.dt,
         np.vstack([p.x for p in parts]),

@@ -68,16 +68,9 @@ def default_env() -> SiliconeEnv:
 
 def contact_force(env: SiliconeEnv, position, velocity) -> np.ndarray:
     """Normal contact force vector (only the vertical component is nonzero)."""
-    position = np.asarray(position, dtype=float).reshape(-1)
-    velocity = np.asarray(velocity, dtype=float).reshape(-1)
-    d = max(0.0, env.surface_height - position[2])
-    F = np.zeros(3)
-    if d > 0.0:
-        pen_rate = -velocity[2]
-        k = float(env.stiffness(position[0], position[1]))
-        F[2] = max(0.0, k * d ** env.exponent
-                   + env.damping * d ** env.exponent * pen_rate)
-    return F
+    X = np.asarray(position, dtype=float).reshape(1, -1)
+    V = np.asarray(velocity, dtype=float).reshape(1, -1)
+    return np.array([0.0, 0.0, _normal_force_batch(env, X, V)[0]])
 
 
 def _normal_force_batch(env, X, V):

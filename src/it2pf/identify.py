@@ -7,8 +7,6 @@ weights, and fits each rule's polynomial consequent by Huber regression
 """
 from __future__ import annotations
 
-import math
-
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,12 +34,8 @@ class TrainConfig:
     width_scale: float = 1.0
     tr_config: TypeReductionConfig = field(default_factory=TypeReductionConfig)
     epsilon_floor: float = 1e-12
-    l2_penalty: float = 0.0
-    seed: int = 0
-    force_p: int = None          # bypass subtractive clustering, fix rule count
-    max_rules: int = None        # keep only the strongest centers
+    force_p: int = None          # fix the rule count: top up or cut the centers
     max_cluster_points: int = 2000  # subsample cap for the O(N^2) potential pass
-    drop_weak_rules: bool = True
 
     def __post_init__(self):
         if self.degree < 0:
@@ -99,22 +93,12 @@ def huber_objective(residuals, weights, threshold):
     return float(np.sum(weights * rho))
 
 
-def _weighted_lstsq(rows, target, w, l2=0.0, free_cols=()):
-    """Weighted least squares, optionally with a Tikhonov penalty.
-
-    The penalty shrinks every coefficient except the columns listed in
-    free_cols (typically the constant intercept), which stay unpenalized.
-    """
+def _weighted_lstsq(rows, target, w):
+    """Weighted least squares: theta minimizing sum(w * (rows @ theta -
+    target) ** 2), with its rank and condition number."""
     sw = np.sqrt(w)
-    A = rows * sw[:, None]
-    b = target * sw
-    if l2 > 0:
-        R = rows.shape[1]
-        pen = np.full(R, math.sqrt(l2))
-        pen[list(free_cols)] = 0.0
-        A = np.vstack([A, np.diag(pen)])
-        b = np.concatenate([b, np.zeros(R)])
-    theta, _, rank, sv = np.linalg.lstsq(A, b, rcond=None)
+    theta, _, rank, sv = np.linalg.lstsq(rows * sw[:, None], target * sw,
+                                         rcond=None)
     cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else float("inf")
     return theta, rank, cond
 
@@ -153,9 +137,7 @@ def robust_fit_rule(dataset: Dataset, rule_weights, config: TrainConfig,
     conds = []
     for i in range(m):
         target = dataset.y[:, i]
-        free = (3 * dataset.n * (R // (3 * dataset.n + 1)),)
-        theta, rank, cond = _weighted_lstsq(regressors, target, w,
-                                            config.l2_penalty, free)
+        theta, rank, cond = _weighted_lstsq(regressors, target, w)
         conds.append(cond)
         fallback = fallback or (rank < R)
         resid = target - regressors @ theta
@@ -168,8 +150,7 @@ def robust_fit_rule(dataset: Dataset, rule_weights, config: TrainConfig,
             absr = np.maximum(np.abs(resid), 1e-300)
             u = w if not np.isfinite(threshold) else \
                 w * np.minimum(1.0, threshold / absr)
-            new_theta, rank, cond = _weighted_lstsq(
-                regressors, target, u, config.l2_penalty, free)
+            new_theta, rank, cond = _weighted_lstsq(regressors, target, u)
             resid = target - regressors @ new_theta
             obj = huber_objective(resid, w, threshold)
             if obj > prev_obj + 1e-9 * (1.0 + abs(prev_obj)):
@@ -209,7 +190,6 @@ def _initial_centers(points_std, hyper, config):
     sub = _subsample_indices(points_std.shape[0], config.max_cluster_points)
     idx = list(sub[subtractive_cluster(hyper[sub], config.subtractive)])
     if p is None:
-        idx = idx[:config.max_rules]  # max_rules None keeps every center
         return np.array(idx), len(idx)
     # top up with farthest-point selection if subtractive found too few
     while len(idx) < p:
@@ -262,18 +242,17 @@ def train(dataset: Dataset, config: TrainConfig):
                              config.epsilon_floor)
 
     # drop rules too weakly fired to support their coefficient count
-    if config.drop_weak_rules and len(premises) > 1:
-        while len(premises) > 1:
-            masses = W.sum(axis=0)
-            weakest = int(np.argmin(masses))
-            if masses[weakest] >= R:
-                break
-            del premises[weakest]
-            lo_f = np.delete(lo_f, weakest, axis=1)
-            up_f = np.delete(up_f, weakest, axis=1)
-            W, _ = type_reduce_batch(lo_f, up_f, config.tr_config,
-                                     config.epsilon_floor)
-            report.dropped_rules += 1
+    while len(premises) > 1:
+        masses = W.sum(axis=0)
+        weakest = int(np.argmin(masses))
+        if masses[weakest] >= R:
+            break
+        del premises[weakest]
+        lo_f = np.delete(lo_f, weakest, axis=1)
+        up_f = np.delete(up_f, weakest, axis=1)
+        W, _ = type_reduce_batch(lo_f, up_f, config.tr_config,
+                                 config.epsilon_floor)
+        report.dropped_rules += 1
 
     regressors = regressor_matrix(Zn, dataset.x, dataset.v, dataset.v_next,
                                   dataset.dt, config.degree)

@@ -292,7 +292,10 @@ class ExperimentConfig:
 
 
 def _words(s):
-    return s.replace(",", " ").split()
+    words = s.replace(",", " ").split()
+    if not words:
+        raise ConfigError("needs at least one value")
+    return words
 
 
 def _parse_floats(s):
@@ -310,11 +313,11 @@ def _parse_seeds(s):
     return tuple(_parse_seed(u) for u in _words(s))
 
 
-def _parse_bool(s):
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[s.lower()]
-    except KeyError:
-        raise ConfigError(f"not a boolean: {s!r}") from None
+def _parse_count(s):
+    count = int(s)
+    if count < 1:
+        raise ConfigError(f"must be >= 1, got {count}")
+    return count
 
 
 def _parse_bumps(s):
@@ -356,13 +359,11 @@ def _keys(section, target, parser, *keys):
 # its dataclass default; the benchmark's split seeds default to the five
 # seeds from the master seed on (parse_config).
 _CONFIG_KEYS = {
-    ("seeds", "master"): (_parse_seed,
-                          "seed train.seed protocol.seed split.seed"),
+    ("seeds", "master"): (_parse_seed, "seed protocol.seed split.seed"),
     **_keys("train", "train", int, "degree", "irls_max_iter",
-            "fcm_max_iter", "force_p", "max_rules", "max_cluster_points"),
+            "fcm_max_iter", "force_p", "max_cluster_points"),
     **_keys("train", "train", float, "delta", "huber_k", "irls_tol",
             "fcm_fuzzifier", "fcm_tol", "width_floor", "epsilon_floor"),
-    **_keys("train", "train", _parse_bool, "drop_weak_rules"),
     **_keys("train", "train.tr_config", float, "b_lower", "b_upper"),
     **_keys("clustering", "train.subtractive", float, "r_a", "r_b",
             "accept_ratio", "reject_ratio"),
@@ -379,8 +380,9 @@ _CONFIG_KEYS = {
     ("benchmark", "models"): (_parse_models, "bench_models"),
     ("benchmark", "seeds"): (_parse_seeds, "bench_seeds"),
     ("benchmark", "fractions"): (_parse_floats, "curve_fractions"),
-    ("benchmark", "curve_seeds"): (int, "curve_seeds"),
-    **_keys("peg", "peg", int, "n_demos", "n_episodes", "rp_degree",
+    ("benchmark", "curve_seeds"): (_parse_count, "curve_seeds"),
+    **_keys("peg", "peg", _parse_count, "n_episodes"),
+    **_keys("peg", "peg", int, "n_demos", "rp_degree",
             "rp_max_cluster_points", "rp_force_p"),
     **_keys("peg", "peg", float, "tau", "rp_delta", "rp_r_a",
             "rp_width_scale"),

@@ -134,7 +134,7 @@ def test_criterion_2_few_shot_curve(bench_dataset):
     cfg = TrainConfig(degree=1, delta=0.2)
 
     def factory(train_set, seed):
-        model, _ = train(train_set, replace(cfg, seed=seed))
+        model, _ = train(train_set, cfg)
         return model
 
     fractions = (0.02, 0.05, 0.10, 0.25, 0.50)

@@ -43,7 +43,6 @@ class TestLKV:
         model = fit_lkv(ds)
         assert np.allclose(model.K, [[5.0]], atol=1e-8)
         assert np.allclose(model.C, [[0.3]], atol=1e-8)
-        assert not model.rank_fallback
 
     def test_recovers_multidim_matrices(self):
         K = np.array([[2.0, -1.0], [0.5, 3.0]])

@@ -169,7 +169,6 @@ class TestConfig:
         path.write_text("[seeds]\nmaster = 3\n")
         cfg = parse_config(str(path))
         assert cfg.seed == 3
-        assert cfg.train.seed == 3
         assert cfg.split.fraction == 0.10
         assert cfg.bench_seeds == (3, 4, 5, 6, 7)
         assert cfg.curve_fractions == (0.02, 0.05, 0.10, 0.25, 0.50)
@@ -262,8 +261,8 @@ class TestConfig:
                 got, was = getattr(got, name), getattr(was, name)
             assert got == want and type(got) is type(want), (sec, key)
             assert was != want, (sec, key)
-        # the master seed also seeds training, the protocol and the split
-        assert cfg.train.seed == cfg.protocol.seed == cfg.split.seed == 7
+        # the master seed also seeds the protocol and the split
+        assert cfg.protocol.seed == cfg.split.seed == 7
 
     def test_accepted_keys_are_pinned(self):
         assert set(_CONFIG_KEYS) == set(EVERY_KEY)
@@ -286,10 +285,8 @@ EVERY_KEY = {
     ("train", "b_upper"): ("0.7", "train.tr_config.b_upper", 0.7),
     ("train", "epsilon_floor"): ("1e-10", "train.epsilon_floor", 1e-10),
     ("train", "force_p"): ("6", "train.force_p", 6),
-    ("train", "max_rules"): ("8", "train.max_rules", 8),
     ("train", "max_cluster_points"): ("1000", "train.max_cluster_points",
                                       1000),
-    ("train", "drop_weak_rules"): ("false", "train.drop_weak_rules", False),
     ("clustering", "r_a"): ("0.4", "train.subtractive.r_a", 0.4),
     ("clustering", "r_b"): ("0.7", "train.subtractive.r_b", 0.7),
     ("clustering", "accept_ratio"): ("0.6", "train.subtractive.accept_ratio",
@@ -531,6 +528,33 @@ class TestCLI:
             args += ["--data", data]
         assert main([command] + args) == 1
         assert "error:config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,section", [
+        ("benchmark", "[benchmark]\nseeds =\n"),
+        ("benchmark", "[benchmark]\nmodels =\n"),
+        ("learning-curve", "[benchmark]\nfractions =\n"),
+        ("learning-curve", "[benchmark]\ncurve_seeds = 0\n"),
+        ("learning-curve", "[benchmark]\ncurve_seeds = -2\n"),
+        ("run-peg", "[peg]\nn_episodes = 0\n"),
+        ("train", "[train]\nmax_rules = 3\n"),
+        ("train", "[train]\ndrop_weak_rules = false\n"),
+    ], ids=["no-benchmark-seeds", "no-models", "no-fractions", "zero-curve-seeds",
+            "negative-curve-seeds", "no-episodes", "max-rules-key",
+            "drop-weak-rules-key"])
+    def test_empty_run_or_removed_key_is_a_config_error(
+            self, tmp_path, capsys, command, section):
+        # the config is read first, so no data or model file is needed
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[seeds]\nmaster = 0\n" + section)
+        out = tmp_path / "out.csv"
+        args = [command, "--config", str(bad), "--out", str(out)]
+        if command == "run-peg":
+            args += ["--mt-model", "mt.json", "--ga-model", "ga.json"]
+        else:
+            args += ["--data", "env.csv"]
+        assert main(args) == 1
+        assert "error:config" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_format_error_exit_code(self, tmp_path, small_config, capsys):
         bad = tmp_path / "bad.csv"
