@@ -10,7 +10,7 @@ from .core import (Channel, Dataset, FiringInterval, FuzzyModelError,
 from .clustering import (ClusterResult, SubtractiveParams, build_premises,
                          fcm_refine, subtractive_cluster)
 from .identify import (FitReport, TrainConfig, assemble_regressor,
-                       robust_fit_rule, train)
+                       cluster_rules, robust_fit_rule, train)
 from .baselines import LKVModel, fit_lkv, fit_pfmb, fit_tsfmb, predict_lkv
 from .envsim import (GaussianBump, PressProtocol, SiliconeEnv, contact_force,
                      default_env, generate_benchmark, generate_trial)

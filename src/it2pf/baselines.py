@@ -63,12 +63,12 @@ def predict_lkv(model: LKVModel, x, v):
     return Y[0]
 
 
-def fit_tsfmb(dataset: Dataset, config: TrainConfig):
+def fit_tsfmb(dataset: Dataset, config: TrainConfig, clusters=None):
     """Type-1 T-S model: constant consequents, collapsed intervals."""
-    return train(dataset, replace(config, degree=0, delta=0.0))
+    return train(dataset, replace(config, degree=0, delta=0.0), clusters)
 
 
-def fit_pfmb(dataset: Dataset, config: TrainConfig):
+def fit_pfmb(dataset: Dataset, config: TrainConfig, clusters=None):
     """Type-1 polynomial fuzzy model: same consequent class, delta = 0."""
     return train(dataset, replace(config, degree=max(config.degree, 1),
-                                  delta=0.0))
+                                  delta=0.0), clusters)

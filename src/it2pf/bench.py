@@ -8,7 +8,7 @@ import numpy as np
 
 from .baselines import fit_lkv, fit_pfmb, fit_tsfmb
 from .core import Dataset, FuzzyModelError, ParameterError, ShapeError
-from .identify import TrainConfig, train
+from .identify import TrainConfig, cluster_rules, train
 from .seeds import substream
 
 
@@ -66,14 +66,15 @@ def split_trials(dataset: Dataset, split: Split):
 MODEL_NAMES = ("it2pfml", "pfmb", "tsfmb", "lkv")
 
 
-def fit_named_model(name: str, train_set: Dataset, config: TrainConfig):
-    """Fit one of the benchmark model families; returns a predictor."""
+def fit_named_model(name: str, train_set: Dataset, config: TrainConfig,
+                    clusters=None):
+    """Fit one model family (clusters: see train); returns a predictor."""
     if name == "it2pfml":
-        model, _ = train(train_set, config)
+        model, _ = train(train_set, config, clusters)
     elif name == "pfmb":
-        model, _ = fit_pfmb(train_set, config)
+        model, _ = fit_pfmb(train_set, config, clusters)
     elif name == "tsfmb":
-        model, _ = fit_tsfmb(train_set, config)
+        model, _ = fit_tsfmb(train_set, config, clusters)
     elif name == "lkv":
         model = fit_lkv(train_set)
     else:
@@ -89,12 +90,12 @@ def per_trial_metrics(model, test_set: Dataset):
 
 def _trial_rows(pred, test_set: Dataset):
     """per_trial_metrics of the predictions pred on test_set."""
-    rows = []
-    for tid in test_set.trials():
-        mask = test_set.trial_id == tid
-        rows.append((int(tid), rmse(pred[mask], test_set.y[mask]),
-                     mae(pred[mask], test_set.y[mask])))
-    return rows
+    # a stable sort keeps each trial's rows in their original order
+    order = np.argsort(test_set.trial_id, kind="stable")
+    tids, starts = np.unique(test_set.trial_id[order], return_index=True)
+    return [(int(tid), rmse(pred[rows], test_set.y[rows]),
+             mae(pred[rows], test_set.y[rows]))
+            for tid, rows in zip(tids, np.split(order, starts[1:]))]
 
 
 @dataclass
@@ -103,17 +104,17 @@ class BenchmarkReport:
     aggregates: list = field(default_factory=list)  # per model x seed
     failures: list = field(default_factory=list)
 
-    def srmse(self, model, seed) -> float:
+    def _aggregate(self, model, seed):
         for a in self.aggregates:
             if a["model"] == model and a["seed"] == seed:
-                return a["srmse"]
+                return a
         raise KeyError((model, seed))
 
+    def srmse(self, model, seed) -> float:
+        return self._aggregate(model, seed)["srmse"]
+
     def smae(self, model, seed) -> float:
-        for a in self.aggregates:
-            if a["model"] == model and a["seed"] == seed:
-                return a["smae"]
-        raise KeyError((model, seed))
+        return self._aggregate(model, seed)["smae"]
 
 
 def run_benchmark(dataset: Dataset, models, split: Split, seeds,
@@ -127,9 +128,15 @@ def run_benchmark(dataset: Dataset, models, split: Split, seeds,
     report = BenchmarkReport()
     for seed in seeds:
         tr, te = split_trials(dataset, replace(split, seed=seed))
+        clusters = None
+        if {"it2pfml", "pfmb", "tsfmb"} & set(models):
+            try:
+                clusters = cluster_rules(tr, config)
+            except FuzzyModelError:
+                pass  # each fuzzy fit clusters again and records its error
         for name in models:
             try:
-                model = fit_named_model(name, tr, config)
+                model = fit_named_model(name, tr, config, clusters)
                 pred, _ = model.predict_batch(te.x, te.v, te.v_next)
                 trial_rows = _trial_rows(pred, te)
             except FuzzyModelError as exc:

@@ -177,7 +177,8 @@ def materialize_ticks(channel, dt, t, trial_id, x, v, y) -> Dataset:
     """Build training pairs from per-tick records.
 
     v_next at tick k is v at tick k+1 of the same trial; the last tick of
-    every trial carries no successor and is dropped.
+    every trial carries no successor and is dropped.  Each trial's ticks
+    must be contiguous, with t increasing by dt (to 1e-6 dt).
     """
     t = np.asarray(t, dtype=float)
     trial_id = np.asarray(trial_id, dtype=int)
@@ -186,8 +187,13 @@ def materialize_ticks(channel, dt, t, trial_id, x, v, y) -> Dataset:
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if x.shape[0] == 1 and t.shape[0] > 1:
         x, v, y = x.T, v.T, y.T
+    same = np.diff(trial_id) == 0
+    if np.count_nonzero(~same) + 1 != np.unique(trial_id).size:
+        raise StructuralError("the ticks of each trial must be contiguous")
+    if dt > 0 and np.any(np.abs(np.diff(t)[same] - dt) > 1e-6 * dt):
+        raise StructuralError(f"t must step by dt={dt} within a trial")
     keep = np.ones(t.shape[0], dtype=bool)
-    last = np.nonzero(np.diff(trial_id) != 0)[0]
+    last = np.nonzero(~same)[0]
     keep[last] = False
     keep[-1] = False
     succ = np.roll(np.arange(t.shape[0]), -1)

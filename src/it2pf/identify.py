@@ -55,6 +55,8 @@ class FitReport:
     rule_iterations: list = field(default_factory=list)
     rule_condition: list = field(default_factory=list)
     rank_fallback: list = field(default_factory=list)
+    svd_steps: list = field(default_factory=list)
+    irls_capped: list = field(default_factory=list)
     dropped_rules: int = 0
     degenerate_samples: int = 0
     training_rmse: float = float("nan")
@@ -66,12 +68,9 @@ def assemble_regressor(z, x, v, v_next, dt, degree) -> np.ndarray:
     theta layout per output dimension: [M.ravel(), C.ravel(), K.ravel(), f],
     each block in (n, B) row-major order.
     """
-    z = np.asarray(z, dtype=float).reshape(-1)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    v = np.asarray(v, dtype=float).reshape(-1)
-    v_next = np.asarray(v_next, dtype=float).reshape(-1)
-    return regressor_matrix(z[None, :], x[None, :], v[None, :],
-                            v_next[None, :], dt, degree)[0]
+    rows = (np.asarray(a, dtype=float).reshape(1, -1)
+            for a in (z, x, v, v_next))
+    return regressor_matrix(*rows, dt, degree)[0]
 
 
 def _weighted_median(values, weights):
@@ -93,23 +92,55 @@ def huber_objective(residuals, weights, threshold):
     return float(np.sum(weights * rho))
 
 
-def _weighted_lstsq(rows, target, w):
-    """Weighted least squares: theta minimizing sum(w * (rows @ theta -
-    target) ** 2), with its rank and condition number."""
+_GRAM_COND_MAX = 1e6  # max (max/min diag L)^2: Gram error stays < ~irls_tol
+
+
+def _gram_basis(Zn, regressors, degree):
+    """(Phi, pinv(T)) with regressors = Phi @ T, Phi the fewer monomials of
+    degree <= degree+1 in Zn that span regressors; None at degree 0."""
+    if degree == 0:
+        return None
+    # each monomial is a lower one times one variable: no (N, B, q) powers
+    cols = frontier = [(np.ones(Zn.shape[0]), 0)]
+    for _ in range(degree + 1):
+        frontier = [(c * Zn[:, j], j) for c, i in frontier
+                    for j in range(i, Zn.shape[1])]
+        cols = cols + frontier
+    phi = np.column_stack([c for c, _ in cols])
+    return phi, np.linalg.pinv(np.linalg.lstsq(phi, regressors, rcond=None)[0])
+
+
+def _weighted_lstsq(rows, target, w, basis=None):
+    """Minimum-norm theta minimizing sum(w * (rows @ theta - target) ** 2),
+    a condition estimate, and whether it took the SVD step on rank-deficient
+    rows.  With basis = _gram_basis(...), theta = pinv(T) @ beta, beta by
+    Cholesky L of Phi' diag(w) Phi unless that fails or breaks the bound."""
+    if basis is not None:
+        phi, t_pinv = basis
+        try:
+            L = np.linalg.cholesky((phi * w[:, None]).T @ phi)
+            cond = float(np.diag(L).max() / np.diag(L).min())
+        except np.linalg.LinAlgError:
+            cond = float("inf")
+        if cond ** 2 <= _GRAM_COND_MAX:
+            beta = np.linalg.solve(L, phi.T @ (w * target))
+            return t_pinv @ np.linalg.solve(L.T, beta), cond, False
     sw = np.sqrt(w)
     theta, _, rank, sv = np.linalg.lstsq(rows * sw[:, None], target * sw,
                                          rcond=None)
     cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else float("inf")
-    return theta, rank, cond
+    return theta, cond, bool(rank < rows.shape[1])
 
 
 def robust_fit_rule(dataset: Dataset, rule_weights, config: TrainConfig,
-                    norm: Normalization = None, regressors=None):
+                    norm: Normalization = None, regressors=None, basis=None):
     """Fit one rule's consequent by weighted Huber IRLS.
 
     rule_weights are the per-sample type-reduced weights of this rule.
     norm standardizes z before the monomial basis (identity when omitted).
-    Returns (PolynomialConsequent, per-rule report dict).
+    basis = _gram_basis(...) of the same regressors solves each step by
+    _weighted_lstsq's Gram step; without it every step is the SVD step.
+    Returns (PolynomialConsequent, {FitReport list: this rule's entry}).
     """
     w = np.asarray(rule_weights, dtype=float)
     if w.shape != (dataset.n_samples,):
@@ -120,26 +151,24 @@ def robust_fit_rule(dataset: Dataset, rule_weights, config: TrainConfig,
         raise TrainingError("rule has zero total weight")
     if regressors is None:
         Z = dataset.feature_matrix()
-        if norm is not None:
-            Z = norm.apply(Z)
-        regressors = regressor_matrix(Z, dataset.x, dataset.v, dataset.v_next,
+        regressors = regressor_matrix(Z if norm is None else norm.apply(Z),
+                                      dataset.x, dataset.v, dataset.v_next,
                                       dataset.dt, config.degree)
     R = regressors.shape[1]
     eff = float(w.sum())
     if eff < R:
         raise TrainingError(
             f"effective sample count {eff:.1f} below coefficient count {R}")
-    fallback = eff < 2 * R
 
     m = dataset.m
     theta_rows = np.empty((m, R))
-    iters_used = 0
+    iters_used, svd_steps, capped = 0, 0, False
     conds = []
     for i in range(m):
         target = dataset.y[:, i]
-        theta, rank, cond = _weighted_lstsq(regressors, target, w)
+        theta, cond, fell_back = _weighted_lstsq(regressors, target, w, basis)
         conds.append(cond)
-        fallback = fallback or (rank < R)
+        svd_steps += fell_back
         resid = target - regressors @ theta
         med = _weighted_median(resid, w)
         scale = 1.4826 * _weighted_median(np.abs(resid - med), w)
@@ -150,10 +179,16 @@ def robust_fit_rule(dataset: Dataset, rule_weights, config: TrainConfig,
             absr = np.maximum(np.abs(resid), 1e-300)
             u = w if not np.isfinite(threshold) else \
                 w * np.minimum(1.0, threshold / absr)
-            new_theta, rank, cond = _weighted_lstsq(regressors, target, u)
-            resid = target - regressors @ new_theta
-            obj = huber_objective(resid, w, threshold)
-            if obj > prev_obj + 1e-9 * (1.0 + abs(prev_obj)):
+            limit = prev_obj + 1e-9 * (1.0 + abs(prev_obj))
+            for b in (basis, None):  # a Gram step that rises: retry by SVD
+                new_theta, _, fell_back = _weighted_lstsq(regressors, target,
+                                                          u, b)
+                resid = target - regressors @ new_theta
+                obj = huber_objective(resid, w, threshold)
+                if obj <= limit or fell_back or b is None:
+                    break
+            svd_steps += fell_back
+            if obj > limit:
                 # MM guarantee: should not happen beyond roundoff
                 break
             prev_obj = obj
@@ -162,15 +197,20 @@ def robust_fit_rule(dataset: Dataset, rule_weights, config: TrainConfig,
             iters_used = max(iters_used, it + 1)
             if change < config.irls_tol * (1.0 + np.max(np.abs(theta))):
                 break
+        else:
+            capped = True
         theta_rows[i] = theta
 
     resid_all = dataset.y - regressors @ theta_rows.T
     report = {
-        "residual_norm": float(np.sqrt(np.sum(w[:, None] * resid_all ** 2))),
-        "effective_weight": eff,
-        "iterations": iters_used,
-        "condition": max(conds),
-        "rank_fallback": bool(fallback),
+        "rule_residual_norms": float(
+            np.sqrt(np.sum(w[:, None] * resid_all ** 2))),
+        "rule_effective_weights": eff,
+        "rule_iterations": iters_used,
+        "rule_condition": max(conds),
+        "rank_fallback": eff < 2 * R or svd_steps > 0,
+        "svd_steps": svd_steps,
+        "irls_capped": capped,
     }
     return PolynomialConsequent.from_theta(theta_rows.T, dataset.n,
                                            config.degree), report
@@ -200,18 +240,10 @@ def _initial_centers(points_std, hyper, config):
     return np.array(idx[:p]), p
 
 
-def train(dataset: Dataset, config: TrainConfig):
-    """Identify an IT2 polynomial fuzzy model from a dataset.
-
-    Deterministic: clustering and fitting involve no random draws, so equal
-    inputs give bit-identical models.
-    """
-    N, n, m = dataset.n_samples, dataset.n, dataset.m
-    R = (3 * n + 1) * basis_size(3 * n, config.degree)
-    if N < R:
-        raise TrainingError(
-            f"{N} samples cannot support {R} coefficients per output row")
-
+def cluster_rules(dataset: Dataset, config: TrainConfig):
+    """train's clustering stage: (Normalization of z, ClusterResult).  It
+    reads neither degree nor delta, so one result serves every fit of a
+    dataset whose configs differ only in those."""
     Z = dataset.feature_matrix()
     z_mean = Z.mean(axis=0)
     z_scale = np.maximum(Z.std(axis=0), 1e-8)
@@ -230,12 +262,29 @@ def train(dataset: Dataset, config: TrainConfig):
     result = fcm_refine(points, p, points[center_idx], config.fcm_fuzzifier,
                         config.fcm_tol, config.fcm_max_iter,
                         config.width_floor)
-
-    report = FitReport()
     if config.width_scale <= 0:
         raise ParameterError("width_scale must be > 0")
     if config.width_scale != 1.0:
         result = replace(result, widths=result.widths * config.width_scale)
+    return norm, result
+
+
+def train(dataset: Dataset, config: TrainConfig, clusters=None):
+    """Identify an IT2 polynomial fuzzy model from a dataset.
+
+    clusters is cluster_rules(dataset, config), computed here when omitted.
+    Deterministic: clustering and fitting involve no random draws, so equal
+    inputs give bit-identical models.
+    """
+    N, n, m = dataset.n_samples, dataset.n, dataset.m
+    R = (3 * n + 1) * basis_size(3 * n, config.degree)
+    if N < R:
+        raise TrainingError(
+            f"{N} samples cannot support {R} coefficients per output row")
+
+    norm, result = clusters or cluster_rules(dataset, config)
+    Zn = norm.apply(dataset.feature_matrix())
+    report = FitReport()
     premises = build_premises(result, config.delta, n_z=3 * n)
     lo_f, up_f = _firing_batch(Zn, *_premise_tables(premises))
     W, _ = type_reduce_batch(lo_f, up_f, config.tr_config,
@@ -256,19 +305,17 @@ def train(dataset: Dataset, config: TrainConfig):
 
     regressors = regressor_matrix(Zn, dataset.x, dataset.v, dataset.v_next,
                                   dataset.dt, config.degree)
+    basis = _gram_basis(Zn, regressors, config.degree)
     rules = []
     for l, prem in enumerate(premises):
         try:
             cons, rrep = robust_fit_rule(dataset, W[:, l], config, norm=norm,
-                                         regressors=regressors)
+                                         regressors=regressors, basis=basis)
         except TrainingError as exc:
             raise TrainingError(f"rule {l}: {exc}") from exc
         rules.append((prem, cons))
-        report.rule_residual_norms.append(rrep["residual_norm"])
-        report.rule_effective_weights.append(rrep["effective_weight"])
-        report.rule_iterations.append(rrep["iterations"])
-        report.rule_condition.append(rrep["condition"])
-        report.rank_fallback.append(rrep["rank_fallback"])
+        for key, value in rrep.items():
+            getattr(report, key).append(value)
 
     model = IT2PFModel(dataset.channel, dataset.dt, tuple(rules), norm,
                        config.tr_config, config.epsilon_floor)

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from it2pf.core import Channel, ParameterError, ShapeError, materialize_ticks
-from it2pf.baselines import fit_lkv
+from it2pf import bench, identify
+from it2pf.core import (Channel, ParameterError, ShapeError, TrainingError,
+                        materialize_ticks)
+from it2pf.baselines import fit_lkv, fit_pfmb, fit_tsfmb
 from it2pf.bench import (
+    MODEL_NAMES,
     Split,
     learning_curve,
     mae,
@@ -14,7 +17,8 @@ from it2pf.bench import (
     run_benchmark,
     split_trials,
 )
-from it2pf.identify import TrainConfig
+from it2pf.envsim import PressProtocol, default_env, generate_benchmark
+from it2pf.identify import TrainConfig, train
 
 
 def _linear_dataset(n_trials=10, n_ticks=30, seed=0):
@@ -152,6 +156,73 @@ class TestBenchmarkRunner:
         report = run_benchmark(ds, ["lkv"], Split(0.5), seeds=[0])
         assert report.failures and report.failures[0]["model"] == "lkv"
         assert not report.aggregates
+
+
+    def test_trial_rows_keep_each_trials_row_order(self):
+        ds = _linear_dataset(n_trials=6, n_ticks=12)
+        # interleaved trials: rows of one trial are not contiguous
+        shuffled = ds.subset(np.random.default_rng(3).permutation(
+            ds.n_samples))
+        pred = shuffled.y + np.random.default_rng(4).normal(
+            size=shuffled.y.shape)
+        rows = bench._trial_rows(pred, shuffled)
+        assert [r[0] for r in rows] == list(range(6))
+        for tid, r, a in rows:
+            mask = shuffled.trial_id == tid
+            assert r == rmse(pred[mask], shuffled.y[mask])
+            assert a == mae(pred[mask], shuffled.y[mask])
+
+
+def _press_dataset():
+    """A small pressing benchmark: 12 trials of 210 samples."""
+    return generate_benchmark(default_env(), PressProtocol(
+        trials_per_level=4, grid=((0.04, 0.04), (0.16, 0.16))))
+
+
+class TestSharedClusters:
+    FUZZY = ("it2pfml", "pfmb", "tsfmb")
+
+    def test_benchmark_models_equal_standalone_fits(self, monkeypatch):
+        ds = _press_dataset()
+        cfg = TrainConfig(degree=1, delta=0.2, force_p=3)
+        fitted, fcm_calls = [], []
+        real_fit, real_fcm = bench.fit_named_model, identify.fcm_refine
+
+        def fit(name, train_set, config, clusters=None):
+            fitted.append((name, real_fit(name, train_set, config, clusters)))
+            return fitted[-1][1]
+
+        def fcm(*args):
+            fcm_calls.append(None)
+            return real_fcm(*args)
+
+        monkeypatch.setattr(bench, "fit_named_model", fit)
+        monkeypatch.setattr(identify, "fcm_refine", fcm)
+        report = run_benchmark(ds, MODEL_NAMES, Split(0.5), [0, 1], cfg)
+        monkeypatch.undo()
+        assert not report.failures and len(fcm_calls) == 2
+        standalone = {"it2pfml": train, "pfmb": fit_pfmb, "tsfmb": fit_tsfmb}
+        for k, (name, model) in enumerate(fitted):
+            if name == "lkv":
+                continue
+            tr, _ = split_trials(ds, Split(0.5, k // 4))
+            ref, _ = standalone[name](tr, cfg)
+            assert all(np.array_equal(getattr(model, a), getattr(ref, a))
+                       for a in ("_theta", "_centers", "_var_lower",
+                                 "_var_upper")), name
+            assert np.array_equal(model.norm.mean, ref.norm.mean)
+            assert np.array_equal(model.norm.scale, ref.norm.scale)
+
+    def test_clustering_error_fails_each_fuzzy_model(self, monkeypatch):
+        def broken(*args):
+            raise TrainingError("FCM objective increased; numerical fault")
+
+        monkeypatch.setattr(identify, "fcm_refine", broken)
+        report = run_benchmark(_press_dataset(), MODEL_NAMES, Split(0.5), [0],
+                               TrainConfig(degree=1, force_p=3))
+        assert [f["model"] for f in report.failures] == list(self.FUZZY)
+        assert all("numerical fault" in f["error"] for f in report.failures)
+        assert [a["model"] for a in report.aggregates] == ["lkv"]
 
 
 class TestLearningCurve:

@@ -19,6 +19,7 @@ from it2pf.core import (
     PolynomialConsequent,
     RulePremise,
     ShapeError,
+    StructuralError,
     TypeReductionConfig,
     basis_size,
     concat_datasets,
@@ -438,7 +439,36 @@ def _toy_ticks(n_tr=2, n_tk=5):
             np.array(Y))
 
 
+def _faulty_ticks(fault):
+    """_toy_ticks with one fault in the tick records."""
+    t, tid, X, V, Y = _toy_ticks()
+    if fault == "interleaved":      # trial 0, trial 1, then trial 0 again
+        order = np.r_[0:2, 5:10, 2:5]
+        return t[order], tid[order], X[order], V[order], Y[order]
+    if fault == "t-not-increasing":
+        t = t.copy()
+        t[[2, 3]] = t[[3, 2]]
+    if fault == "spacing":
+        t = np.where(tid == 1, 2 * t, t)
+    return t, tid, X, V, Y
+
+
+TICK_FAULTS = {"interleaved": "contiguous", "t-not-increasing": "step by dt",
+               "spacing": "step by dt"}
+
+
 class TestDataset:
+    @pytest.mark.parametrize("fault", list(TICK_FAULTS))
+    def test_materialize_rejects_faulty_ticks(self, fault):
+        with pytest.raises(StructuralError, match=TICK_FAULTS[fault]):
+            materialize_ticks(Channel.ENVIRONMENT, 0.01, *_faulty_ticks(fault))
+
+    def test_materialize_checks_spacing_within_trials_only(self):
+        t, tid, X, V, Y = _toy_ticks()
+        t = t + 5.0 * tid + 1e-9 * (np.arange(t.size) % 2)
+        ds = materialize_ticks(Channel.ENVIRONMENT, 0.01, t, tid, X, V, Y)
+        assert ds.n_samples == 8
+
     def test_materialize_drops_last_tick(self):
         ds = materialize_ticks(Channel.ENVIRONMENT, 0.01, *_toy_ticks())
         assert ds.n_samples == 8  # 2 trials x (5 - 1)

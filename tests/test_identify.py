@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from it2pf import identify
+from it2pf.bench import Split, split_trials
 from it2pf.core import (
     Channel,
     Dataset,
@@ -11,9 +14,13 @@ from it2pf.core import (
     eval_consequent,
     materialize_ticks,
 )
+from it2pf.envsim import PressProtocol, default_env, generate_benchmark
 from it2pf.identify import (
     TrainConfig,
+    _gram_basis,
+    _weighted_lstsq,
     assemble_regressor,
+    cluster_rules,
     config_with,
     huber_objective,
     regressor_matrix,
@@ -244,3 +251,146 @@ class TestTrain:
         assert (model.p, report.dropped_rules) == (25, 5)
         assert mt.n_samples == 7095
         assert report.degenerate_samples == int(degen.sum()) == 15
+
+
+# ---------------------------------------------------------------------------
+# The guarded Gram step
+# ---------------------------------------------------------------------------
+
+def _random_regressors(rng, n, degree, N=300):
+    """Raw-scale regressors of random features, their normalized z."""
+    mean, scale = rng.normal(size=3 * n), rng.uniform(0.1, 3.0, size=3 * n)
+    raw = rng.normal(size=(N, 3 * n)) * scale + mean
+    Zn = Normalization(mean, scale).apply(raw)
+    X, V, VN = np.split(raw, 3, axis=1)
+    return Zn, regressor_matrix(Zn, X, V, VN, 0.01, degree)
+
+
+def _random_dataset(seed=0, constant_x=False):
+    """Independent random x, v, v_next (x constant on request: a
+    rank-deficient Gram basis) and a nonlinear response with heavy-tailed
+    noise, so that IRLS reweights for several steps."""
+    rng = np.random.default_rng(seed)
+    x, v, vn = rng.normal(size=(3, 400, 1))
+    if constant_x:
+        x = np.full_like(x, 0.5)
+    y = 2.0 * v + np.sin(3 * vn) + x * v + 0.1 * rng.standard_t(2, v.shape)
+    return Dataset(Channel.ENVIRONMENT, 0.01, x, v, vn, y)
+
+
+def _rule_fit_args(ds, cfg):
+    norm, _ = cluster_rules(ds, cfg)
+    Zn = norm.apply(ds.feature_matrix())
+    R = regressor_matrix(Zn, ds.x, ds.v, ds.v_next, ds.dt, cfg.degree)
+    return norm, R, _gram_basis(Zn, R, cfg.degree)
+
+
+def _same_model(a, b):
+    """Whether two fuzzy models hold bit-identical parameters."""
+    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in
+               ("_theta", "_centers", "_var_lower", "_var_upper")) and \
+        np.array_equal(a.norm.mean, b.norm.mean) and \
+        np.array_equal(a.norm.scale, b.norm.scale)
+
+
+@pytest.fixture(scope="module")
+def press_split():
+    """Criterion 1's 10% training split, split seed 0."""
+    ds = generate_benchmark(default_env(), PressProtocol())
+    return split_trials(ds, Split(0.10, 0))
+
+
+class TestGramStep:
+    @given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2),
+           st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_minimum_norm_lstsq(self, degree, n, m, seed):
+        rng = np.random.default_rng(seed)
+        Zn, R = _random_regressors(rng, n, degree)
+        basis = _gram_basis(Zn, R, degree)
+        assert basis[0].shape[1] < R.shape[1]
+        w = rng.uniform(0.01, 1.0, size=R.shape[0])
+        sw = np.sqrt(w)
+        for y in rng.normal(size=(m, R.shape[0])):
+            theta, _, fell_back = _weighted_lstsq(R, y, w, basis)
+            ref = np.linalg.lstsq(R * sw[:, None], y * sw, rcond=None)[0]
+            assert not fell_back
+            assert np.linalg.norm(theta - ref) <= \
+                1e-9 * np.linalg.norm(ref)
+
+    def test_degree0_has_no_gram_basis(self):
+        rng = np.random.default_rng(0)
+        Zn, R = _random_regressors(rng, 1, 0)
+        assert _gram_basis(Zn, R, 0) is None
+
+    def test_rank_deficient_basis_takes_the_svd_step_bit_for_bit(self):
+        ds = _random_dataset(constant_x=True)
+        cfg = TrainConfig(degree=1, delta=0.1)
+        norm, R, basis = _rule_fit_args(ds, cfg)
+        w = np.random.default_rng(1).uniform(0.2, 1.0, ds.n_samples)
+        cons_g, rep_g = robust_fit_rule(ds, w, cfg, norm, R, basis)
+        cons_s, rep_s = robust_fit_rule(ds, w, cfg, norm, R)
+        assert np.array_equal(cons_g.theta, cons_s.theta)
+        assert rep_g == rep_s
+        assert rep_g["svd_steps"] == rep_g["rule_iterations"] + 1
+        assert rep_g["rank_fallback"]
+
+    def test_constant_z_column_fit_reports_svd_steps(self):
+        model, rep = train(_random_dataset(constant_x=True),
+                           TrainConfig(degree=1, delta=0.1, force_p=2))
+        assert len(rep.svd_steps) == model.p
+        assert all(s > 0 for s in rep.svd_steps)
+        assert all(rep.rank_fallback)
+
+    def test_objective_rise_is_retried_by_svd(self, monkeypatch):
+        # Gram steps after the first are spoiled, so each raises the Huber
+        # objective; the SVD retry must still carry IRLS to convergence
+        ds = _random_dataset()
+        cfg = TrainConfig(degree=1, delta=0.0)
+        norm, R, basis = _rule_fit_args(ds, cfg)
+        w = np.ones(ds.n_samples)
+        cons_ref, rep_ref = robust_fit_rule(ds, w, cfg, norm, R, basis)
+        real, calls = identify._weighted_lstsq, []
+
+        def spoiled(rows, target, u, basis=None):
+            theta, cond, fell_back = real(rows, target, u, basis)
+            calls.append(basis is not None)
+            if basis is not None and len(calls) > 1:
+                theta = 1.5 * theta
+            return theta, cond, fell_back
+
+        monkeypatch.setattr(identify, "_weighted_lstsq", spoiled)
+        cons, rep = robust_fit_rule(ds, w, cfg, norm, R, basis)
+        assert rep_ref["rule_iterations"] > 1 and rep_ref["svd_steps"] == 0
+        assert rep["svd_steps"] == rep["rule_iterations"] > 1
+        assert np.allclose(cons.theta, cons_ref.theta, rtol=1e-6, atol=1e-9)
+
+    def test_pressing_fit_takes_no_svd_step(self, press_split):
+        tr, _ = press_split
+        model, rep = train(tr, TrainConfig(degree=1, delta=0.2))
+        assert len(rep.svd_steps) == model.p > 1
+        assert sum(rep.svd_steps) == 0
+        # so rank_fallback flags only rules with under 2 samples per
+        # coefficient (100 at degree 1)
+        assert rep.rank_fallback == [e < 200
+                                     for e in rep.rule_effective_weights]
+        assert not any(rep.irls_capped)
+
+
+class TestFitReport:
+    def test_irls_cap_is_reported(self):
+        ds = _linear_dataset(1.0, 0.5, noise=0.05, seed=2)
+        cfg = TrainConfig(degree=1, delta=0.2, force_p=2)
+        _, rep = train(ds, cfg)
+        assert rep.irls_capped == [False, False]
+        _, rep = train(ds, config_with(cfg, irls_max_iter=1))
+        assert rep.irls_capped == [True, True]
+        assert rep.rule_iterations == [1, 1]
+
+    def test_clusters_can_be_passed_in(self):
+        ds = _linear_dataset(1.0, 0.5, noise=0.05, seed=2)
+        cfg = TrainConfig(degree=1, delta=0.2, force_p=2)
+        shared = cluster_rules(ds, config_with(cfg, degree=0, delta=0.0))
+        m1, _ = train(ds, cfg)
+        m2, _ = train(ds, cfg, shared)
+        assert _same_model(m1, m2)

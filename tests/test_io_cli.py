@@ -564,6 +564,26 @@ class TestCLI:
         assert code == 1
         assert "error:format" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault", ["interleaved", "t-not-increasing",
+                                       "spacing"])
+    def test_faulty_tick_records_are_a_structure_error(
+            self, tmp_path, small_config, capsys, fault):
+        t, tid, X, V, Y = _linear_ticks()
+        if fault == "interleaved":    # trial 0's last ticks after trial 1's
+            order = np.r_[0:20, 40:80, 20:40, 80:t.size]
+            t, tid, X, V, Y = t[order], tid[order], X[order], V[order], \
+                Y[order]
+        elif fault == "t-not-increasing":
+            t[[5, 6]] = t[[6, 5]]
+        else:
+            t = np.where(tid == 2, 1.5 * t, t)
+        data = str(tmp_path / "bad.csv")
+        write_dataset_csv(data, Channel.ENVIRONMENT, 0.01, t, tid, X, V, Y)
+        code = main(["train", "--config", small_config, "--data", data,
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert "error:structure" in capsys.readouterr().err
+
     def test_fcm_fault_exit_code(self, tmp_path, small_config, capsys,
                                  monkeypatch):
         # doubled memberships from the second FCM iteration on make its
