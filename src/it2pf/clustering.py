@@ -44,11 +44,16 @@ class ClusterResult:
     fuzzifier_memberships: np.ndarray  # (p, N), columns sum to 1
     widths: np.ndarray               # (p, dim), > 0
     objective_history: tuple = ()
+    converged: bool = False          # last center shift below the tolerance
 
     def __post_init__(self):
         if self.p < 1:
             raise ParameterError("p must be >= 1")
         U = np.asarray(self.fuzzifier_memberships, dtype=float)
+        if not all(np.all(np.isfinite(a)) for a in (self.centers, U,
+                                                    self.widths)):
+            raise TrainingError("non-finite cluster centers, memberships "
+                                "or widths")
         if U.shape[0] != self.p:
             raise ParameterError("membership matrix must have p rows")
         if np.any(U < -1e-12) or np.any(U > 1 + 1e-12):
@@ -140,12 +145,21 @@ def fcm_refine(points, p, init_centers, fuzzifier_m=2.0, tol=1e-6,
         raise ParameterError(f"init_centers must have shape ({p}, {dim})")
 
     expo = 2.0 / (fuzzifier_m - 1.0)
+    # squared distances as |x|^2 - 2 c.x + |c|^2: one GEMM, no (p, N, dim)
+    x2 = np.einsum("ij,ij->i", points, points)
+
+    def sq_dists(c):
+        d2 = c @ points.T
+        d2 *= -2.0
+        d2 += x2
+        d2 += np.einsum("ij,ij->i", c, c)[:, None]
+        return np.maximum(d2, 0.0, out=d2)
+
     history = []
     prev_obj = np.inf
-    U = None
+    converged = False
     for _ in range(max_iter):
-        d2 = np.maximum(
-            np.sum((points[None, :, :] - centers[:, None, :]) ** 2, axis=2), 0.0)
+        d2 = sq_dists(centers)
         U = _memberships_from_d2(d2, expo)
         Um = U ** fuzzifier_m
         obj = float(np.sum(Um * d2))
@@ -157,11 +171,11 @@ def fcm_refine(points, p, init_centers, fuzzifier_m=2.0, tol=1e-6,
         new_centers = (Um @ points) / np.maximum(mass, 1e-300)[:, None]
         shift = np.max(np.linalg.norm(new_centers - centers, axis=1))
         centers = new_centers
-        if shift < tol:
+        converged = bool(shift < tol)
+        if converged:
             break
 
-    d2 = np.sum((points[None, :, :] - centers[:, None, :]) ** 2, axis=2)
-    U = _memberships_from_d2(d2, expo)
+    U = _memberships_from_d2(sq_dists(centers), expo)
     widths = np.empty((p, dim))
     for l in range(p):
         w = U[l]
@@ -169,17 +183,21 @@ def fcm_refine(points, p, init_centers, fuzzifier_m=2.0, tol=1e-6,
         var = (w[:, None] * (points - centers[l]) ** 2).sum(axis=0) / total
         widths[l] = np.sqrt(var)
     widths = np.maximum(widths, width_floor)
-    return ClusterResult(p, centers, U, widths, tuple(history))
+    return ClusterResult(p, centers, U, widths, tuple(history), converged)
 
 
 def _memberships_from_d2(d2, expo):
-    """FCM membership update; rows of d2 are clusters, columns samples."""
-    p = d2.shape[0]
+    """FCM membership update; rows of d2 are clusters, columns samples.
+    Each column is scaled by the power of two that brings its minimum into
+    [0.5, 1) before the power, so the power cannot overflow.  The scaling
+    is exact: where the unscaled power neither overflows nor underflows,
+    the memberships are the same bit for bit."""
     U = np.empty_like(d2)
     zero_cols = np.any(d2 <= 0, axis=0)
     safe = ~zero_cols
     if np.any(safe):
-        inv = d2[:, safe] ** (-expo / 2.0)
+        ds = d2[:, safe]
+        inv = np.ldexp(ds, -np.frexp(ds.min(axis=0))[1]) ** (-expo / 2.0)
         U[:, safe] = inv / inv.sum(axis=0)
     if np.any(zero_cols):
         # a point coincides with >=1 center: split membership among those

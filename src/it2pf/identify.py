@@ -59,6 +59,8 @@ class FitReport:
     irls_capped: list = field(default_factory=list)
     dropped_rules: int = 0
     degenerate_samples: int = 0
+    fcm_iterations: int = 0
+    fcm_converged: bool = False  # FCM met fcm_tol before fcm_max_iter
     training_rmse: float = float("nan")
 
 
@@ -97,9 +99,13 @@ _GRAM_COND_MAX = 1e6  # max (max/min diag L)^2: Gram error stays < ~irls_tol
 
 def _gram_basis(Zn, regressors, degree):
     """(Phi, pinv(T)) with regressors = Phi @ T, Phi the fewer monomials of
-    degree <= degree+1 in Zn that span regressors; None at degree 0."""
+    degree <= degree+1 in Zn that span regressors.  At degree 0 the
+    regressors [a, v, x, 1] have no redundant columns: Phi is them, each
+    column scaled to unit norm, and pinv(T) = diag(1 / scale)."""
     if degree == 0:
-        return None
+        scale = np.linalg.norm(regressors, axis=0)
+        scale[scale == 0] = 1.0
+        return regressors / scale, np.diag(1.0 / scale)
     # each monomial is a lower one times one variable: no (N, B, q) powers
     cols = frontier = [(np.ones(Zn.shape[0]), 0)]
     for _ in range(degree + 1):
@@ -231,12 +237,16 @@ def _initial_centers(points_std, hyper, config):
     idx = list(sub[subtractive_cluster(hyper[sub], config.subtractive)])
     if p is None:
         return np.array(idx), len(idx)
-    # top up with farthest-point selection if subtractive found too few
-    while len(idx) < p:
-        chosen = points_std[idx]
-        d = np.min(np.sum((points_std[:, None, :] - chosen[None]) ** 2,
-                          axis=2), axis=1)
-        idx.append(int(np.argmax(d)))
+    # top up with farthest-point selection if subtractive found too few,
+    # keeping each point's squared distance to its nearest chosen center
+    def sq_dist(c):
+        return np.sum((points_std - points_std[c]) ** 2, axis=1)
+
+    if len(idx) < p:
+        d = np.min([sq_dist(c) for c in idx], axis=0)
+        while len(idx) < p:
+            idx.append(int(np.argmax(d)))
+            d = np.minimum(d, sq_dist(idx[-1]))
     return np.array(idx[:p]), p
 
 
@@ -284,7 +294,8 @@ def train(dataset: Dataset, config: TrainConfig, clusters=None):
 
     norm, result = clusters or cluster_rules(dataset, config)
     Zn = norm.apply(dataset.feature_matrix())
-    report = FitReport()
+    report = FitReport(fcm_iterations=len(result.objective_history),
+                       fcm_converged=result.converged)
     premises = build_premises(result, config.delta, n_z=3 * n)
     lo_f, up_f = _firing_batch(Zn, *_premise_tables(premises))
     W, _ = type_reduce_batch(lo_f, up_f, config.tr_config,

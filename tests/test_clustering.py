@@ -133,6 +133,61 @@ class TestFCM:
             fcm_refine(pts, 1, np.zeros((1, 3)))
 
 
+    def test_gemm_distances_match_direct_reference(self):
+        rng = np.random.default_rng(8)
+        pts = rng.normal(size=(400, 5)) + 3.0
+        init = pts[:6] + 0.1     # no point on a center: every d2 > 0
+        res = fcm_refine(pts, 6, init, fuzzifier_m=1.2, max_iter=60)
+        # the same iterations with the distances taken point by point
+        centers = init.copy()
+        for _ in res.objective_history:
+            d2 = np.sum((pts[None] - centers[:, None]) ** 2, axis=2)
+            inv = d2 ** -5.0
+            Um = (inv / inv.sum(axis=0)) ** 1.2
+            centers = (Um @ pts) / Um.sum(axis=1)[:, None]
+        assert np.max(np.abs(res.centers - centers)) <= 1e-12
+
+    @pytest.mark.parametrize("expo", [2.0, 10.0])  # fuzzifier 2 and 1.2
+    def test_memberships_equal_the_unscaled_power(self, expo):
+        # scaling each column by a power of two is exact: no bit moves
+        rng = np.random.default_rng(9)
+        d2 = rng.uniform(0.0, 10.0, size=(7, 400)) ** 2 * \
+            10.0 ** rng.integers(-20, 20, size=400)
+        inv = d2 ** (-expo / 2.0)
+        assert np.array_equal(clustering._memberships_from_d2(d2, expo),
+                              inv / inv.sum(axis=0))
+
+    def test_tiny_distances_do_not_overflow(self):
+        # with fuzzifier 1.2 the memberships take d2 to the power -5,
+        # which overflows for d2 below ~1e-62 unless d2 is rescaled
+        pts = np.array([[0.0], [1e-70], [1.0], [2.0], [2.1]])
+        res = fcm_refine(pts, 2, np.array([[0.0], [2.0]]), fuzzifier_m=1.2)
+        assert res.converged and len(res.objective_history) < 20
+        assert np.allclose(res.centers.ravel(), [0.3303, 2.0476], atol=1e-4)
+        assert np.all(np.isfinite(res.widths))
+
+    def test_convergence_is_reported(self):
+        rng = np.random.default_rng(2)
+        pts = _two_blobs(rng, sep=0.8, spread=0.02)
+        init = np.array([[0.0, 0.0], [1.0, 1.0]])
+        res = fcm_refine(pts, 2, init)
+        assert res.converged and len(res.objective_history) < 200
+        res = fcm_refine(pts, 2, init, max_iter=1)
+        assert not res.converged and len(res.objective_history) == 1
+
+    @pytest.mark.parametrize("field", ["centers", "fuzzifier_memberships",
+                                       "widths"])
+    def test_non_finite_result_is_rejected(self, field):
+        parts = {"centers": np.zeros((2, 1)),
+                 "fuzzifier_memberships": np.full((2, 3), 0.5),
+                 "widths": np.ones((2, 1))}
+        ClusterResult(2, **parts)
+        parts[field] = parts[field].copy()
+        parts[field][0, 0] = np.nan
+        with pytest.raises(TrainingError, match="non-finite"):
+            ClusterResult(2, **parts)
+
+
 class TestPremises:
     def _result(self, centers, widths):
         p, dim = centers.shape

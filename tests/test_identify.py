@@ -318,10 +318,28 @@ class TestGramStep:
             assert np.linalg.norm(theta - ref) <= \
                 1e-9 * np.linalg.norm(ref)
 
-    def test_degree0_has_no_gram_basis(self):
+    def test_degree0_basis_is_the_column_scaled_regressor(self):
         rng = np.random.default_rng(0)
         Zn, R = _random_regressors(rng, 1, 0)
-        assert _gram_basis(Zn, R, 0) is None
+        phi, t_pinv = _gram_basis(Zn, R, 0)
+        scale = np.linalg.norm(R, axis=0)
+        assert np.array_equal(phi, R / scale)
+        assert np.array_equal(t_pinv, np.diag(1.0 / scale))
+
+    @given(st.integers(1, 2), st.integers(1, 2), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_degree0_step_equals_lstsq(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        Zn, R = _random_regressors(rng, n, 0)
+        basis = _gram_basis(Zn, R, 0)
+        w = rng.uniform(0.01, 1.0, size=R.shape[0])
+        sw = np.sqrt(w)
+        for y in rng.normal(size=(m, R.shape[0])):
+            theta, cond, fell_back = _weighted_lstsq(R, y, w, basis)
+            ref = np.linalg.lstsq(R * sw[:, None], y * sw, rcond=None)[0]
+            assert not fell_back and cond ** 2 <= identify._GRAM_COND_MAX
+            assert np.linalg.norm(theta - ref) <= \
+                1e-9 * np.linalg.norm(ref)
 
     def test_rank_deficient_basis_takes_the_svd_step_bit_for_bit(self):
         ds = _random_dataset(constant_x=True)
@@ -387,6 +405,16 @@ class TestFitReport:
         assert rep.irls_capped == [True, True]
         assert rep.rule_iterations == [1, 1]
 
+    def test_fcm_convergence_is_reported(self, press_split):
+        # FCM stops at its cap on the 10 % pressing fit, and meets its
+        # tolerance on two well separated clusters
+        tr, _ = press_split
+        _, rep = train(tr, TrainConfig(degree=0, delta=0.2))
+        assert (rep.fcm_iterations, rep.fcm_converged) == (200, False)
+        ds = _linear_dataset(1.0, 0.5, noise=0.05, seed=2)
+        _, rep = train(ds, TrainConfig(degree=1, delta=0.2, force_p=2))
+        assert 1 < rep.fcm_iterations < 200 and rep.fcm_converged
+
     def test_clusters_can_be_passed_in(self):
         ds = _linear_dataset(1.0, 0.5, noise=0.05, seed=2)
         cfg = TrainConfig(degree=1, delta=0.2, force_p=2)
@@ -394,3 +422,47 @@ class TestFitReport:
         m1, _ = train(ds, cfg)
         m2, _ = train(ds, cfg, shared)
         assert _same_model(m1, m2)
+
+
+def _top_up_reference(points_std, hyper, config):
+    """_initial_centers with the farthest-point top-up that recomputes the
+    distances to every chosen center for each center it adds."""
+    sub = identify._subsample_indices(points_std.shape[0],
+                                      config.max_cluster_points)
+    idx = list(sub[identify.subtractive_cluster(hyper[sub],
+                                                config.subtractive)])
+    while len(idx) < config.force_p:
+        chosen = points_std[idx]
+        d = np.min(np.sum((points_std[:, None, :] - chosen[None]) ** 2,
+                          axis=2), axis=1)
+        idx.append(int(np.argmax(d)))
+    return np.array(idx[:config.force_p])
+
+
+class TestInitialCenters:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_top_up_matches_the_full_recomputation(self, seed):
+        from it2pf.clustering import SubtractiveParams
+        rng = np.random.default_rng(seed)
+        points = rng.standard_normal((600, 5)) * rng.uniform(0.2, 3.0, 5)
+        lo = points.min(axis=0)
+        hyper = (points - lo) / (points.max(axis=0) - lo)
+        cfg = TrainConfig(subtractive=SubtractiveParams(r_a=0.9),
+                          max_cluster_points=400, force_p=25)
+        idx, p = identify._initial_centers(points, hyper, cfg)
+        ref = _top_up_reference(points, hyper, cfg)
+        assert p == 25 and len(set(idx)) == 25
+        assert np.array_equal(idx, ref)
+        # subtractive alone picks few of the 25
+        sub_only, _ = identify._initial_centers(
+            points, hyper, config_with(cfg, force_p=None))
+        assert len(sub_only) < 10
+
+    def test_cut_keeps_subtractive_order(self):
+        rng = np.random.default_rng(7)
+        points = rng.uniform(size=(300, 2))
+        cfg = TrainConfig()
+        every, p = identify._initial_centers(points, points, cfg)
+        cut, q = identify._initial_centers(points, points,
+                                           config_with(cfg, force_p=2))
+        assert p > 2 and q == 2 and np.array_equal(cut, every[:2])
