@@ -1,9 +1,9 @@
 """Interval type-2 polynomial fuzzy modelling toolkit."""
 
-from .core import (Channel, Dataset, FiringInterval, FuzzyModelError,
-                   InputDomainError, IT2Gaussian, IT2PFModel, Normalization,
-                   ParameterError, PolynomialConsequent, RulePremise,
-                   ShapeError, StructuralError, TrainingError,
+from .core import (BasisConsequent, Channel, Dataset, FiringInterval,
+                   FuzzyModelError, InputDomainError, IT2Gaussian, IT2PFModel,
+                   Normalization, ParameterError, PolynomialConsequent,
+                   RulePremise, ShapeError, StructuralError, TrainingError,
                    TypeReductionConfig, concat_datasets, eval_consequent,
                    eval_membership, firing_interval, materialize_ticks,
                    regressor_matrix, type_reduce)

@@ -68,18 +68,17 @@ MODEL_NAMES = ("it2pfml", "pfmb", "tsfmb", "lkv")
 
 def fit_named_model(name: str, train_set: Dataset, config: TrainConfig,
                     clusters=None):
-    """Fit one model family (clusters: see train); returns a predictor."""
+    """Fit one model family (clusters: see train); returns (predictor,
+    FitReport), the report None for lkv."""
     if name == "it2pfml":
-        model, _ = train(train_set, config, clusters)
-    elif name == "pfmb":
-        model, _ = fit_pfmb(train_set, config, clusters)
-    elif name == "tsfmb":
-        model, _ = fit_tsfmb(train_set, config, clusters)
-    elif name == "lkv":
-        model = fit_lkv(train_set)
-    else:
-        raise ParameterError(f"unknown model name {name!r}")
-    return model
+        return train(train_set, config, clusters)
+    if name == "pfmb":
+        return fit_pfmb(train_set, config, clusters)
+    if name == "tsfmb":
+        return fit_tsfmb(train_set, config, clusters)
+    if name == "lkv":
+        return fit_lkv(train_set), None
+    raise ParameterError(f"unknown model name {name!r}")
 
 
 def per_trial_metrics(model, test_set: Dataset):
@@ -136,7 +135,7 @@ def run_benchmark(dataset: Dataset, models, split: Split, seeds,
                 pass  # each fuzzy fit clusters again and records its error
         for name in models:
             try:
-                model = fit_named_model(name, tr, config, clusters)
+                model, _ = fit_named_model(name, tr, config, clusters)
                 pred, _ = model.predict_batch(te.x, te.v, te.v_next)
                 trial_rows = _trial_rows(pred, te)
             except FuzzyModelError as exc:

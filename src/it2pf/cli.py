@@ -61,14 +61,14 @@ def _cmd_gen_env(args):
 def _cmd_train(args):
     cfg = parse_config(args.config)
     dataset = read_dataset_csv(args.data)
-    model = fit_named_model(args.model, dataset, cfg.train)
+    model, fit = fit_named_model(args.model, dataset, cfg.train)
     save_model(args.out, model)
     pred, _ = model.predict_batch(dataset.x, dataset.v, dataset.v_next)
     training_rmse = rmse(pred, dataset.y)
     print(f"trained {args.model} on {dataset.n_samples} samples; "
           f"training_rmse={_fmt(training_rmse)}")
     if args.report:
-        atomic_write_text(args.report, fit_report_csv(training_rmse))
+        atomic_write_text(args.report, fit_report_csv(training_rmse, fit))
     return 0
 
 
@@ -154,64 +154,41 @@ def _cmd_run_peg(args):
     return 0
 
 
+# Each command: (name, handler, help, its required --options).
+_COMMANDS = (
+    ("gen-env", _cmd_gen_env, "generate the pressing benchmark data",
+     "config out"),
+    ("train", _cmd_train, "train a model on a dataset file", "config data out"),
+    ("predict", _cmd_predict, "run a saved model over a dataset",
+     "model data out"),
+    ("benchmark", _cmd_benchmark, "multi-model comparison report",
+     "config data out"),
+    ("learning-curve", _cmd_learning_curve, "test error vs training fraction",
+     "config data out"),
+    ("gen-demo", _cmd_gen_demo, "record peg-transfer demonstrations",
+     "config out-mt out-ga"),
+    ("train-rp", _cmd_train_rp, "train the Robotic Partner models",
+     "config mt ga out-mt out-ga"),
+    ("run-peg", _cmd_run_peg, "evaluate the Robotic Partner",
+     "config mt-model ga-model out"),
+)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="it2pf",
         description="Interval type-2 polynomial fuzzy modelling toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-env", help="generate the pressing benchmark data")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen_env)
-
-    p = sub.add_parser("train", help="train a model on a dataset file")
-    p.add_argument("--config", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--model", default="it2pfml", choices=MODEL_NAMES)
-    p.add_argument("--report", default=None)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("predict", help="run a saved model over a dataset")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_predict)
-
-    p = sub.add_parser("benchmark", help="multi-model comparison report")
-    p.add_argument("--config", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_benchmark)
-
-    p = sub.add_parser("learning-curve", help="test error vs training fraction")
-    p.add_argument("--config", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_learning_curve)
-
-    p = sub.add_parser("gen-demo", help="record peg-transfer demonstrations")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out-mt", required=True)
-    p.add_argument("--out-ga", required=True)
-    p.set_defaults(func=_cmd_gen_demo)
-
-    p = sub.add_parser("train-rp", help="train the Robotic Partner models")
-    p.add_argument("--config", required=True)
-    p.add_argument("--mt", required=True)
-    p.add_argument("--ga", required=True)
-    p.add_argument("--out-mt", required=True)
-    p.add_argument("--out-ga", required=True)
-    p.set_defaults(func=_cmd_train_rp)
-
-    p = sub.add_parser("run-peg", help="evaluate the Robotic Partner")
-    p.add_argument("--config", required=True)
-    p.add_argument("--mt-model", required=True)
-    p.add_argument("--ga-model", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--trace-dir", default=None)
-    p.set_defaults(func=_cmd_run_peg)
+    commands = {}
+    for name, func, help_text, required in _COMMANDS:
+        commands[name] = p = sub.add_parser(name, help=help_text)
+        for option in required.split():
+            p.add_argument(f"--{option}", required=True)
+        p.set_defaults(func=func)
+    commands["train"].add_argument("--model", default="it2pfml",
+                                   choices=MODEL_NAMES)
+    commands["train"].add_argument("--report", default=None)
+    commands["run-peg"].add_argument("--trace-dir", default=None)
     return parser
 
 

@@ -9,14 +9,16 @@ with a polynomial consequent
 where each entry of M, C, K, f is a polynomial in the normalized z.
 Rule firing strengths are intervals (product of lower/upper memberships);
 type reduction collapses them to scalar blending weights.
+
+That paper form is the model.  A model stores each rule's consequent as
+beta, its coefficients on the q columns of consequent_basis, which the
+(3n+1)*B coefficients of M, C, K, f span with redundancy.
 """
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -67,6 +69,12 @@ def _check_finite(arr, name):
         raise InputDomainError(f"{name} contains non-finite entries")
 
 
+def _freeze(obj, name, arr):
+    """Set field name of the frozen dataclass obj to arr, made read-only."""
+    arr.setflags(write=False)
+    object.__setattr__(obj, name, arr)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Column-major sample store for one channel.
@@ -95,8 +103,7 @@ class Dataset:
             if arr.ndim != 2:
                 raise ShapeError(f"{name} must be 2-D (N, dim)")
             _check_finite(arr, name)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            _freeze(self, name, arr)
         N = self.x.shape[0]
         if N < 1:
             raise StructuralError("dataset must contain at least one sample")
@@ -108,16 +115,12 @@ class Dataset:
         tid = np.zeros(N, dtype=int) if tid is None else np.asarray(tid, dtype=int)
         if tid.shape != (N,):
             raise ShapeError("trial_id must have one entry per sample")
-        tid = tid.copy()
-        tid.setflags(write=False)
-        object.__setattr__(self, "trial_id", tid)
+        _freeze(self, "trial_id", tid.copy())
         t = self.t
         t = self.dt * np.arange(N) if t is None else np.asarray(t, dtype=float)
         if t.shape != (N,):
             raise ShapeError("t must have one entry per sample")
-        t = t.copy()
-        t.setflags(write=False)
-        object.__setattr__(self, "t", t)
+        _freeze(self, "t", t.copy())
 
     @property
     def n(self) -> int:
@@ -212,28 +215,19 @@ def basis_size(n_vars: int, degree: int) -> int:
     return math.comb(n_vars + degree, degree)
 
 
-@lru_cache(maxsize=None)
-def monomial_exponents(n_vars: int, degree: int) -> np.ndarray:
-    """Exponent table (B, n_vars), graded order, degree 0 first."""
-    if n_vars < 1 or degree < 0:
-        raise ParameterError("need n_vars >= 1 and degree >= 0")
-    rows = []
-    for d in range(degree + 1):
-        for combo in itertools.combinations_with_replacement(range(n_vars), d):
-            e = [0] * n_vars
-            for i in combo:
-                e[i] += 1
-            rows.append(e)
-    exps = np.array(rows, dtype=np.int64)
-    exps.setflags(write=False)
-    return exps
-
-
 def monomial_basis(z: np.ndarray, degree: int) -> np.ndarray:
-    """Evaluate the monomial basis at z; maps (..., q) -> (..., B)."""
+    """The monomials of degree <= degree in the last axis of z, (..., k) ->
+    (..., B), in graded order: degree 0 first, each degree in lexicographic
+    order of its variables.  Each is a lower one times one variable."""
+    if degree < 0:
+        raise ParameterError("degree must be >= 0")
     z = np.asarray(z, dtype=float)
-    exps = monomial_exponents(z.shape[-1], degree)
-    return np.prod(z[..., None, :] ** exps, axis=-1)
+    cols = frontier = [(np.ones(z.shape[:-1]), 0)]
+    for _ in range(degree):
+        frontier = [(c * z[..., j], j) for c, i in frontier
+                    for j in range(i, z.shape[-1])]
+        cols = cols + frontier
+    return np.stack([c for c, _ in cols], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +285,9 @@ class RulePremise:
         if not sets:
             raise StructuralError("premise needs at least one set")
         object.__setattr__(self, "sets", sets)
-        c = np.array([s.center for s in sets])
-        sig = np.array([s.sigma for s in sets])
-        dl = np.array([s.delta for s in sets])
-        for a in (c, sig, dl):
-            a.setflags(write=False)
-        object.__setattr__(self, "_centers", c)
-        object.__setattr__(self, "_sigmas", sig)
-        object.__setattr__(self, "_deltas", dl)
+        _freeze(self, "_centers", np.array([s.center for s in sets]))
+        _freeze(self, "_sigmas", np.array([s.sigma for s in sets]))
+        _freeze(self, "_deltas", np.array([s.delta for s in sets]))
 
     @property
     def n_inputs(self) -> int:
@@ -419,25 +408,19 @@ class PolynomialConsequent:
     def __post_init__(self):
         if self.degree < 0:
             raise ParameterError("degree must be >= 0")
-        M = np.asarray(self.coeffs_M, dtype=float)
-        if M.ndim != 3:
+        if np.ndim(self.coeffs_M) != 3:
             raise ShapeError("coeffs_M must have shape (m, n, B)")
-        m, n, B = M.shape
+        m, n, B = np.shape(self.coeffs_M)
         if B != basis_size(3 * n, self.degree):
             raise ShapeError(
                 f"basis size {B} inconsistent with n={n}, degree={self.degree}")
-        for name, want in (("coeffs_C", (m, n, B)), ("coeffs_K", (m, n, B)),
-                           ("coeffs_f", (m, B))):
-            arr = np.asarray(getattr(self, name), dtype=float)
+        for name, want in (("coeffs_M", (m, n, B)), ("coeffs_C", (m, n, B)),
+                           ("coeffs_K", (m, n, B)), ("coeffs_f", (m, B))):
+            arr = np.array(getattr(self, name), dtype=float)
             if arr.shape != want:
                 raise ShapeError(f"{name} must have shape {want}, got {arr.shape}")
             _check_finite(arr, name)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        _check_finite(M, "coeffs_M")
-        M = M.copy()
-        M.setflags(write=False)
-        object.__setattr__(self, "coeffs_M", M)
+            _freeze(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -454,15 +437,6 @@ class PolynomialConsequent:
         return np.hstack([self.coeffs_M.reshape(m, -1),
                           self.coeffs_C.reshape(m, -1),
                           self.coeffs_K.reshape(m, -1), self.coeffs_f]).T
-
-    @classmethod
-    def from_theta(cls, theta, n, degree):
-        """Split (R, m) coefficient columns into M, C, K and f."""
-        rows = np.asarray(theta, dtype=float).T
-        m, nB = rows.shape[0], n * basis_size(3 * n, degree)
-        M, C, K = (rows[:, i * nB:(i + 1) * nB].reshape(m, n, -1)
-                   for i in range(3))
-        return cls(degree, M, C, K, rows[:, 3 * nB:])
 
     @classmethod
     def zeros(cls, n, m, degree):
@@ -493,16 +467,68 @@ def regressor_matrix(Z, X, V, VN, dt, degree) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def eval_consequent_batch(theta, Z, X, V, VN, dt, degree):
-    """Consequents with coefficient columns theta at N samples: one GEMM."""
-    return regressor_matrix(Z, X, V, VN, dt, degree) @ theta
+def consequent_basis(Z, X, V, VN, dt, degree) -> np.ndarray:
+    """Phi, the q columns that a rule's beta weighs, at N samples: (N, q).
+
+    a = (VN - V)/dt, v and x are affine in Z, the normalized [X, V, VN], so
+    every column of regressor_matrix is a polynomial of degree <= degree + 1
+    in Z: Phi is those q = basis_size(3n, degree + 1) monomials.  At degree
+    0 it is [a, v, x, 1] itself, and beta the paper's [M, C, K, f]."""
+    if degree == 0:
+        return np.hstack([(VN - V) / dt, V, X, np.ones((Z.shape[0], 1))])
+    return monomial_basis(Z, degree + 1)
+
+
+def eval_consequent_batch(beta, Z, X, V, VN, dt, degree):
+    """Consequents with coefficient columns beta at N samples: one GEMM."""
+    return consequent_basis(Z, X, V, VN, dt, degree) @ beta
 
 
 def eval_consequent(cons: PolynomialConsequent, z, x, v, v_next, dt) -> np.ndarray:
-    """Evaluate one rule's consequent at normalized features z."""
+    """Evaluate one paper-form consequent at normalized features z."""
     rows = [_vec(a, name)[None, :] for name, a in
             (("z", z), ("x", x), ("v", v), ("v_next", v_next))]
-    return eval_consequent_batch(cons.theta, *rows, dt, cons.degree)[0]
+    return (regressor_matrix(*rows, dt, cons.degree) @ cons.theta)[0]
+
+
+@dataclass(frozen=True)
+class BasisConsequent:
+    """One rule's consequent as stored: beta (q, m), its coefficients on
+    consequent_basis at this degree."""
+
+    degree: int
+    beta: np.ndarray
+
+    def __post_init__(self):
+        if self.degree < 0:
+            raise ParameterError("degree must be >= 0")
+        beta = np.array(self.beta, dtype=float)
+        if beta.ndim != 2:
+            raise ShapeError(f"beta must have shape (q, m), got {beta.shape}")
+        _check_finite(beta, "beta")
+        _freeze(self, "beta", beta)
+
+    @property
+    def m(self) -> int:
+        return self.beta.shape[1]
+
+
+def _paper_to_beta(conses, norm, dt):
+    """beta = T theta of paper-form consequents, one (q, m) block each, for
+    features normalized by norm.  T is the regressor regressed on Phi at
+    fixed points, exactly as it lies in Phi's span; at degree 0 it is I."""
+    theta = np.hstack([cons.theta for cons in conses])
+    degree = conses[0].degree
+    if degree > 0:
+        n3 = norm.mean.shape[0]
+        Zn = np.random.default_rng(0).standard_normal(
+            (2 * basis_size(n3, degree + 1), n3))
+        rows = (Zn, *np.split(Zn * norm.scale + norm.mean, 3, axis=1), dt,
+                degree)
+        T = np.linalg.lstsq(consequent_basis(*rows), regressor_matrix(*rows),
+                            rcond=None)[0]
+        theta = T @ theta
+    return np.split(theta, len(conses), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +554,8 @@ class Normalization:
         _check_finite(scale, "scale")
         if np.any(scale <= 0):
             raise ParameterError("normalization scales must be > 0")
-        mean.setflags(write=False)
-        scale.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "scale", scale)
+        _freeze(self, "mean", mean)
+        _freeze(self, "scale", scale)
 
     def apply(self, Z):
         return (Z - self.mean) / self.scale
@@ -552,28 +576,39 @@ class IT2PFModel:
         rules = tuple((prem, cons) for prem, cons in self.rules)
         if not rules:
             raise StructuralError("model needs at least one rule")
-        object.__setattr__(self, "rules", rules)
         if self.dt <= 0:
             raise ParameterError("dt must be > 0")
         if self.epsilon_floor <= 0:
             raise ParameterError("epsilon_floor must be > 0")
-        n, m, deg = None, None, None
+        n3, m, deg = self.norm.mean.shape[0], rules[0][1].m, rules[0][1].degree
         for prem, cons in rules:
-            if n is None:
-                n, m, deg = cons.n, cons.m, cons.degree
-            if (cons.n, cons.m, cons.degree) != (n, m, deg):
-                raise ShapeError("all rules must share (n, m, degree)")
-            if prem.n_inputs != 3 * n:
-                raise ShapeError("premise dimension must equal 3n")
-        if self.norm.mean.shape[0] != 3 * n:
-            raise ShapeError("normalization dimension must equal 3n")
+            if (cons.m, cons.degree) != (m, deg):
+                raise ShapeError("all rules must share (m, degree)")
+            if prem.n_inputs != n3 or n3 % 3:
+                raise ShapeError(
+                    "premise and normalization dimensions must equal 3n")
+        # a paper-form consequent (built by hand, or read from a v1 file) is
+        # mapped to beta once, by this model's normalization and dt
+        paper = [cons for _, cons in rules
+                 if isinstance(cons, PolynomialConsequent)]
+        if any(3 * cons.n != n3 for cons in paper):
+            raise ShapeError("consequent dimension must equal 3n")
+        betas = iter(_paper_to_beta(paper, self.norm, self.dt) if paper else ())
+        rules = tuple((prem, BasisConsequent(deg, next(betas))
+                       if isinstance(cons, PolynomialConsequent) else cons)
+                      for prem, cons in rules)
+        q = basis_size(n3, deg + 1)
+        if any(cons.beta.shape[0] != q for _, cons in rules):
+            raise ShapeError(f"beta must have {q} rows at n={n3 // 3}, "
+                             f"degree={deg}")
+        object.__setattr__(self, "rules", rules)
         # inference tensors, stacked once: premise tables (p, 3n) and every
-        # rule's consequent columns side by side, theta ((3n+1)*B, p*m)
+        # rule's beta side by side, theta (q, p*m)
         tables = _premise_tables([prem for prem, _ in rules])
         for name, arr in zip(("_centers", "_var_lower", "_var_upper"), tables):
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "_theta",
-                           np.hstack([cons.theta for _, cons in rules]))
+                           np.hstack([cons.beta for _, cons in rules]))
 
     @property
     def p(self) -> int:
@@ -581,7 +616,7 @@ class IT2PFModel:
 
     @property
     def n(self) -> int:
-        return self.rules[0][1].n
+        return self.norm.mean.shape[0] // 3
 
     @property
     def m(self) -> int:
@@ -590,10 +625,6 @@ class IT2PFModel:
     @property
     def degree(self) -> int:
         return self.rules[0][1].degree
-
-    @property
-    def delta(self) -> float:
-        return self.rules[0][0].sets[0].delta
 
     def predict(self, x, v, v_next):
         """Blend the rule consequents at one input; returns (y, degenerate)."""
@@ -619,7 +650,7 @@ class IT2PFModel:
         N = X.shape[0]
         Y = np.empty((N, self.m))
         degen = np.empty(N, dtype=bool)
-        # row blocks bound the (rows, (3n+1)*B) regressor temporary
+        # row blocks bound the (rows, q) basis temporary
         for start in range(0, N, _ROW_BLOCK):
             rows = slice(start, start + _ROW_BLOCK)
             Y[rows], degen[rows] = self._predict_rows(X[rows], V[rows],

@@ -13,10 +13,10 @@ import numpy as np
 
 from .clustering import SubtractiveParams, build_premises, fcm_refine, \
     subtractive_cluster
-from .core import (Dataset, IT2PFModel, Normalization, ParameterError,
-                   PolynomialConsequent, TrainingError, TypeReductionConfig,
+from .core import (BasisConsequent, Dataset, IT2PFModel, Normalization,
+                   ParameterError, TrainingError, TypeReductionConfig,
                    _firing_batch, _premise_tables, basis_size,
-                   regressor_matrix, type_reduce_batch)
+                   consequent_basis, regressor_matrix, type_reduce_batch)
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class FitReport:
     rule_iterations: list = field(default_factory=list)
     rule_condition: list = field(default_factory=list)
     rank_fallback: list = field(default_factory=list)
-    svd_steps: list = field(default_factory=list)
+    svd_steps: list = field(default_factory=list)  # steps solved by SVD
     irls_capped: list = field(default_factory=list)
     dropped_rules: int = 0
     degenerate_samples: int = 0
@@ -65,11 +65,7 @@ class FitReport:
 
 
 def assemble_regressor(z, x, v, v_next, dt, degree) -> np.ndarray:
-    """Regressor row such that row @ theta reproduces eval_consequent.
-
-    theta layout per output dimension: [M.ravel(), C.ravel(), K.ravel(), f],
-    each block in (n, B) row-major order.
-    """
+    """One row of regressor_matrix: row @ theta is eval_consequent."""
     rows = (np.asarray(a, dtype=float).reshape(1, -1)
             for a in (z, x, v, v_next))
     return regressor_matrix(*rows, dt, degree)[0]
@@ -97,56 +93,46 @@ def huber_objective(residuals, weights, threshold):
 _GRAM_COND_MAX = 1e6  # max (max/min diag L)^2: Gram error stays < ~irls_tol
 
 
-def _gram_basis(Zn, regressors, degree):
-    """(Phi, pinv(T)) with regressors = Phi @ T, Phi the fewer monomials of
-    degree <= degree+1 in Zn that span regressors.  At degree 0 the
-    regressors [a, v, x, 1] have no redundant columns: Phi is them, each
-    column scaled to unit norm, and pinv(T) = diag(1 / scale)."""
-    if degree == 0:
-        scale = np.linalg.norm(regressors, axis=0)
-        scale[scale == 0] = 1.0
-        return regressors / scale, np.diag(1.0 / scale)
-    # each monomial is a lower one times one variable: no (N, B, q) powers
-    cols = frontier = [(np.ones(Zn.shape[0]), 0)]
-    for _ in range(degree + 1):
-        frontier = [(c * Zn[:, j], j) for c, i in frontier
-                    for j in range(i, Zn.shape[1])]
-        cols = cols + frontier
-    phi = np.column_stack([c for c, _ in cols])
-    return phi, np.linalg.pinv(np.linalg.lstsq(phi, regressors, rcond=None)[0])
+def _column_scaled(phi):
+    """(phi with each column scaled to unit norm, 1 / scale)."""
+    scale = np.linalg.norm(phi, axis=0)
+    scale[scale == 0] = 1.0
+    return phi / scale, 1.0 / scale
 
 
-def _weighted_lstsq(rows, target, w, basis=None):
-    """Minimum-norm theta minimizing sum(w * (rows @ theta - target) ** 2),
-    a condition estimate, and whether it took the SVD step on rank-deficient
-    rows.  With basis = _gram_basis(...), theta = pinv(T) @ beta, beta by
-    Cholesky L of Phi' diag(w) Phi unless that fails or breaks the bound."""
-    if basis is not None:
-        phi, t_pinv = basis
+def _weighted_lstsq(phi, target, w, scaled=None):
+    """beta minimizing sum(w * (phi @ beta - target) ** 2), a condition
+    estimate, and whether the SVD step solved it and found phi rank
+    deficient.  With scaled = _column_scaled(phi), the Gram step solves by
+    the Cholesky L of Phi' diag(w) Phi on the scaled columns unless L fails
+    or breaks the bound; the SVD step is the minimum-norm lstsq on phi."""
+    if scaled is not None:
+        unit, inv_scale = scaled
         try:
-            L = np.linalg.cholesky((phi * w[:, None]).T @ phi)
+            L = np.linalg.cholesky((unit * w[:, None]).T @ unit)
             cond = float(np.diag(L).max() / np.diag(L).min())
         except np.linalg.LinAlgError:
             cond = float("inf")
         if cond ** 2 <= _GRAM_COND_MAX:
-            beta = np.linalg.solve(L, phi.T @ (w * target))
-            return t_pinv @ np.linalg.solve(L.T, beta), cond, False
+            beta = np.linalg.solve(L.T, np.linalg.solve(
+                L, unit.T @ (w * target)))
+            return inv_scale * beta, cond, False, False
     sw = np.sqrt(w)
-    theta, _, rank, sv = np.linalg.lstsq(rows * sw[:, None], target * sw,
-                                         rcond=None)
+    beta, _, rank, sv = np.linalg.lstsq(phi * sw[:, None], target * sw,
+                                        rcond=None)
     cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else float("inf")
-    return theta, cond, bool(rank < rows.shape[1])
+    return beta, cond, True, bool(rank < phi.shape[1])
 
 
 def robust_fit_rule(dataset: Dataset, rule_weights, config: TrainConfig,
-                    norm: Normalization = None, regressors=None, basis=None):
-    """Fit one rule's consequent by weighted Huber IRLS.
+                    norm: Normalization = None, phi=None, gram=False):
+    """Fit one rule's beta by weighted Huber IRLS on Phi.
 
     rule_weights are the per-sample type-reduced weights of this rule.
-    norm standardizes z before the monomial basis (identity when omitted).
-    basis = _gram_basis(...) of the same regressors solves each step by
-    _weighted_lstsq's Gram step; without it every step is the SVD step.
-    Returns (PolynomialConsequent, {FitReport list: this rule's entry}).
+    phi is consequent_basis at the samples, built here, with z standardized
+    by norm (identity when omitted), unless given.  Each step is
+    _weighted_lstsq's Gram step with gram=True, and its SVD step otherwise.
+    Returns (BasisConsequent, {FitReport list: this rule's entry}).
     """
     w = np.asarray(rule_weights, dtype=float)
     if w.shape != (dataset.n_samples,):
@@ -155,27 +141,29 @@ def robust_fit_rule(dataset: Dataset, rule_weights, config: TrainConfig,
         raise ParameterError("rule_weights must be non-negative")
     if w.sum() <= 0:
         raise TrainingError("rule has zero total weight")
-    if regressors is None:
+    if phi is None:
         Z = dataset.feature_matrix()
-        regressors = regressor_matrix(Z if norm is None else norm.apply(Z),
-                                      dataset.x, dataset.v, dataset.v_next,
-                                      dataset.dt, config.degree)
-    R = regressors.shape[1]
+        phi = consequent_basis(Z if norm is None else norm.apply(Z),
+                               dataset.x, dataset.v, dataset.v_next,
+                               dataset.dt, config.degree)
+    # the paper form's coefficient count, until a ridge makes beta's count
+    R = (3 * dataset.n + 1) * basis_size(3 * dataset.n, config.degree)
     eff = float(w.sum())
     if eff < R:
         raise TrainingError(
             f"effective sample count {eff:.1f} below coefficient count {R}")
 
     m = dataset.m
-    theta_rows = np.empty((m, R))
-    iters_used, svd_steps, capped = 0, 0, False
+    scaled = _column_scaled(phi) if gram else None
+    beta_cols = np.empty((phi.shape[1], m))
+    iters_used, svd_steps, deficient, capped = 0, 0, 0, False
     conds = []
     for i in range(m):
         target = dataset.y[:, i]
-        theta, cond, fell_back = _weighted_lstsq(regressors, target, w, basis)
+        beta, cond, svd, short = _weighted_lstsq(phi, target, w, scaled)
         conds.append(cond)
-        svd_steps += fell_back
-        resid = target - regressors @ theta
+        svd_steps, deficient = svd_steps + svd, deficient + short
+        resid = target - phi @ beta
         med = _weighted_median(resid, w)
         scale = 1.4826 * _weighted_median(np.abs(resid - med), w)
         scale = max(scale, 1e-12 * (1.0 + float(np.median(np.abs(target)))))
@@ -186,40 +174,38 @@ def robust_fit_rule(dataset: Dataset, rule_weights, config: TrainConfig,
             u = w if not np.isfinite(threshold) else \
                 w * np.minimum(1.0, threshold / absr)
             limit = prev_obj + 1e-9 * (1.0 + abs(prev_obj))
-            for b in (basis, None):  # a Gram step that rises: retry by SVD
-                new_theta, _, fell_back = _weighted_lstsq(regressors, target,
-                                                          u, b)
-                resid = target - regressors @ new_theta
+            for s in (scaled, None):  # a Gram step that rises: retry by SVD
+                new_beta, _, svd, short = _weighted_lstsq(phi, target, u, s)
+                resid = target - phi @ new_beta
                 obj = huber_objective(resid, w, threshold)
-                if obj <= limit or fell_back or b is None:
+                if obj <= limit or svd:
                     break
-            svd_steps += fell_back
+            svd_steps, deficient = svd_steps + svd, deficient + short
             if obj > limit:
                 # MM guarantee: should not happen beyond roundoff
                 break
             prev_obj = obj
-            change = np.max(np.abs(new_theta - theta))
-            theta = new_theta
+            change = np.max(np.abs(new_beta - beta))
+            beta = new_beta
             iters_used = max(iters_used, it + 1)
-            if change < config.irls_tol * (1.0 + np.max(np.abs(theta))):
+            if change < config.irls_tol * (1.0 + np.max(np.abs(beta))):
                 break
         else:
             capped = True
-        theta_rows[i] = theta
+        beta_cols[:, i] = beta
 
-    resid_all = dataset.y - regressors @ theta_rows.T
+    resid_all = dataset.y - phi @ beta_cols
     report = {
         "rule_residual_norms": float(
             np.sqrt(np.sum(w[:, None] * resid_all ** 2))),
         "rule_effective_weights": eff,
         "rule_iterations": iters_used,
         "rule_condition": max(conds),
-        "rank_fallback": eff < 2 * R or svd_steps > 0,
+        "rank_fallback": eff < 2 * R or deficient > 0,
         "svd_steps": svd_steps,
         "irls_capped": capped,
     }
-    return PolynomialConsequent.from_theta(theta_rows.T, dataset.n,
-                                           config.degree), report
+    return BasisConsequent(config.degree, beta_cols), report
 
 
 def _subsample_indices(N, cap):
@@ -314,14 +300,13 @@ def train(dataset: Dataset, config: TrainConfig, clusters=None):
                                  config.epsilon_floor)
         report.dropped_rules += 1
 
-    regressors = regressor_matrix(Zn, dataset.x, dataset.v, dataset.v_next,
-                                  dataset.dt, config.degree)
-    basis = _gram_basis(Zn, regressors, config.degree)
+    phi = consequent_basis(Zn, dataset.x, dataset.v, dataset.v_next,
+                           dataset.dt, config.degree)
     rules = []
     for l, prem in enumerate(premises):
         try:
-            cons, rrep = robust_fit_rule(dataset, W[:, l], config, norm=norm,
-                                         regressors=regressors, basis=basis)
+            cons, rrep = robust_fit_rule(dataset, W[:, l], config, norm, phi,
+                                         gram=True)
         except TrainingError as exc:
             raise TrainingError(f"rule {l}: {exc}") from exc
         rules.append((prem, cons))

@@ -18,16 +18,18 @@ import numpy as np
 
 from .baselines import LKVModel
 from .bench import MODEL_NAMES, Split
-from .core import (Channel, Dataset, FuzzyModelError, IT2Gaussian, IT2PFModel,
-                   Normalization, PolynomialConsequent, RulePremise,
-                   TypeReductionConfig, materialize_ticks)
+from .core import (BasisConsequent, Channel, Dataset, FuzzyModelError,
+                   IT2Gaussian, IT2PFModel, Normalization,
+                   PolynomialConsequent, RulePremise, TypeReductionConfig,
+                   materialize_ticks)
 from .envsim import (GaussianBump, PressProtocol, SiliconeEnv, _grid,
                      default_env)
 from .identify import TrainConfig
 from .pegsim import PegWorldConfig
 
 DATASET_FORMAT = "it2pf-dataset-v1"
-MODEL_FORMAT = "it2pf-model-v1"
+MODEL_FORMAT = "it2pf-model-v2"
+MODEL_FORMAT_V1 = "it2pf-model-v1"  # read only: the paper's M, C, K, f
 LKV_FORMAT = "it2pf-lkv-v1"
 
 
@@ -184,17 +186,13 @@ def save_model(path, model):
                           "b_upper": model.tr_config.b_upper},
             "norm": {"mean": model.norm.mean.tolist(),
                      "scale": model.norm.scale.tolist()},
-            "delta": model.delta,
             "rules": [
                 {
                     "centers": prem.centers.tolist(),
                     "sigmas": prem.sigmas.tolist(),
                     "deltas": prem.deltas.tolist(),
                     "degree": cons.degree,
-                    "coeffs_M": cons.coeffs_M.tolist(),
-                    "coeffs_C": cons.coeffs_C.tolist(),
-                    "coeffs_K": cons.coeffs_K.tolist(),
-                    "coeffs_f": cons.coeffs_f.tolist(),
+                    "beta": cons.beta.tolist(),
                 }
                 for prem, cons in model.rules
             ],
@@ -224,7 +222,7 @@ def load_model(path):
                             np.array(_field(doc, "C", path), dtype=float))
         except (ValueError, FuzzyModelError) as exc:
             raise FormatError(f"{path}: {exc}") from exc
-    if fmt != MODEL_FORMAT:
+    if fmt not in (MODEL_FORMAT, MODEL_FORMAT_V1):
         raise FormatError(f"{path}: unsupported format {fmt!r} "
                           f"(expected {MODEL_FORMAT})")
     try:
@@ -236,12 +234,13 @@ def load_model(path):
                          zip(_field(r, "centers", path),
                              _field(r, "sigmas", path),
                              _field(r, "deltas", path)))
-            cons = PolynomialConsequent(
-                int(_field(r, "degree", path)),
-                np.array(_field(r, "coeffs_M", path), dtype=float),
-                np.array(_field(r, "coeffs_C", path), dtype=float),
-                np.array(_field(r, "coeffs_K", path), dtype=float),
-                np.array(_field(r, "coeffs_f", path), dtype=float))
+            degree = int(_field(r, "degree", path))
+            if fmt == MODEL_FORMAT:
+                cons = BasisConsequent(degree, _field(r, "beta", path))
+            else:  # the paper form, which IT2PFModel maps to beta
+                cons = PolynomialConsequent(degree, *(
+                    _field(r, key, path) for key in
+                    ("coeffs_M", "coeffs_C", "coeffs_K", "coeffs_f")))
             rules.append((RulePremise(sets), cons))
         return IT2PFModel(
             Channel(_field(doc, "channel", path)),
@@ -492,6 +491,14 @@ def predictions_csv(t, trial_id, pred) -> str:
                   _joined_rows(t, trial_id, pred))
 
 
-def fit_report_csv(training_rmse) -> str:
-    return _table("#it2pf-fit-report-v1", (),
-                  [("training_rmse", training_rmse)])
+def fit_report_csv(training_rmse, fit=None) -> str:
+    """train --report: the training RMSE, then what the fuzzy fit did, from
+    its FitReport fit; those cells are empty for lkv, which has none."""
+    counts = [""] * 7 if fit is None else [
+        len(fit.rule_iterations), fit.dropped_rules, fit.degenerate_samples,
+        fit.fcm_iterations, fit.fcm_converged, sum(fit.irls_capped),
+        sum(fit.svd_steps)]
+    return _table("#it2pf-fit-report-v2", (), zip(
+        ("training_rmse", "rules_kept", "rules_dropped", "degenerate_samples",
+         "fcm_iterations", "fcm_converged", "irls_capped_rules", "svd_steps"),
+        [training_rmse] + counts))

@@ -156,12 +156,9 @@ def test_criterion_3_oracle_equivalence():
     infinite outlier threshold must be OLS exactly."""
     ds = _linear_dataset(3.0, 2.0)
     model, _ = train(ds, TrainConfig(degree=0, delta=0.0, force_p=1))
-    cons = model.rules[0][1]
-    R = regressor_matrix(ds.feature_matrix(), ds.x, ds.v, ds.v_next,
-                         ds.dt, 0)
-    theta_ols, *_ = np.linalg.lstsq(R, ds.y[:, 0], rcond=None)
-    k_err = abs(cons.coeffs_K[0, 0, 0] - 3.0) / 3.0
-    c_err = abs(cons.coeffs_C[0, 0, 0] - 2.0) / 2.0
+    _, C, K, _ = model.rules[0][1].beta[:, 0]  # [M, C, K, f] at degree 0
+    k_err = abs(K - 3.0) / 3.0
+    c_err = abs(C - 2.0) / 2.0
     linear_ok = k_err <= 1e-6 and c_err <= 1e-6
 
     dsn = _linear_dataset(1.5, -0.5, noise=0.01, seed=3)
@@ -171,11 +168,7 @@ def test_criterion_3_oracle_equivalence():
     Rn = regressor_matrix(dsn.feature_matrix(), dsn.x, dsn.v, dsn.v_next,
                           dsn.dt, 0)
     theta_n, *_ = np.linalg.lstsq(Rn, dsn.y[:, 0], rcond=None)
-    theta_inf = np.concatenate([cons_inf.coeffs_M[0].ravel(),
-                                cons_inf.coeffs_C[0].ravel(),
-                                cons_inf.coeffs_K[0].ravel(),
-                                cons_inf.coeffs_f[0]])
-    irls_err = float(np.max(np.abs(theta_inf - theta_n)))
+    irls_err = float(np.max(np.abs(cons_inf.beta[:, 0] - theta_n)))
     ok = linear_ok and irls_err <= 1e-9
     _verdict("criterion-3 oracle equivalence", ok,
              f"K rel err {k_err:.2e}, C rel err {c_err:.2e}, "

@@ -122,11 +122,11 @@ class TestFuzzyBaselines:
         ds = _dataset(lambda x, v: 3.0 * x + 2.0 * v)
         model, _ = fit_tsfmb(ds, TrainConfig(force_p=4))
         assert all(cons.degree == 0 for _, cons in model.rules)
-        assert model.delta == 0.0
+        assert all(np.all(prem.deltas == 0.0) for prem, _ in model.rules)
 
     def test_pfmb_keeps_polynomial_consequents(self):
         ds = _dataset(lambda x, v: 3.0 * x + 2.0 * v)
         model, _ = fit_pfmb(ds, TrainConfig(degree=0, force_p=4))
         # degree is promoted to at least 1 for the polynomial baseline
         assert all(cons.degree >= 1 for _, cons in model.rules)
-        assert model.delta == 0.0
+        assert all(np.all(prem.deltas == 0.0) for prem, _ in model.rules)

@@ -189,8 +189,9 @@ class TestSharedClusters:
         real_fit, real_fcm = bench.fit_named_model, identify.fcm_refine
 
         def fit(name, train_set, config, clusters=None):
-            fitted.append((name, real_fit(name, train_set, config, clusters)))
-            return fitted[-1][1]
+            model, report = real_fit(name, train_set, config, clusters)
+            fitted.append((name, model))
+            return model, report
 
         def fcm(*args):
             fcm_calls.append(None)

@@ -1,5 +1,6 @@
 """Core fuzzy machinery: memberships, firing, type reduction, consequents."""
 
+import itertools
 import math
 
 import numpy as np
@@ -27,8 +28,9 @@ from it2pf.core import (
     eval_membership,
     firing_interval,
     materialize_ticks,
+    consequent_basis,
     monomial_basis,
-    monomial_exponents,
+    regressor_matrix,
     type_reduce,
     type_reduce_batch,
 )
@@ -206,17 +208,35 @@ class TestBasis:
         assert basis_size(9, 2) == 55
 
     def test_graded_order(self):
-        exps = np.asarray(monomial_exponents(2, 2))
-        assert exps[0].tolist() == [0, 0]
-        assert sorted(map(tuple, exps[1:3])) == [(0, 1), (1, 0)]
-        assert len(exps) == 6
+        # primes as variables: each monomial is a distinct product
+        phi = monomial_basis(np.array([2.0, 3.0]), 2)
+        assert phi.tolist() == [1.0, 2.0, 3.0, 4.0, 6.0, 9.0]
 
     def test_eval_matches_manual(self):
-        z = np.array([2.0, 3.0])
-        phi = monomial_basis(z, 2)
-        exps = np.asarray(monomial_exponents(2, 2))
-        manual = [2.0 ** a * 3.0 ** b for a, b in exps]
-        assert np.allclose(phi, manual, atol=0)
+        for k, degree in ((1, 0), (2, 2), (3, 3), (9, 3)):
+            z = np.random.default_rng(k).normal(size=(5, k))
+            phi = monomial_basis(z, degree)
+            manual = [[math.prod(zj ** int(e) for zj, e in zip(row, exps))
+                       for exps in _exponents(k, degree)] for row in z]
+            assert phi.shape == (5, basis_size(k, degree))
+            assert np.allclose(phi, manual, rtol=1e-14, atol=0)
+
+    def test_consequent_basis_spans_the_regressor(self):
+        # q = 55 at n = 3, degree 1, and 220 at degree 2, for 100 and 550
+        # regressor columns; at degree 0 the basis is the regressor
+        rng = np.random.default_rng(1)
+        Z = rng.normal(size=(400, 9))
+        X, V, VN = np.split(Z * rng.uniform(0.5, 2.0, 9) + rng.normal(size=9),
+                            3, axis=1)
+        assert np.array_equal(consequent_basis(Z, X, V, VN, 0.01, 0),
+                              regressor_matrix(Z, X, V, VN, 0.01, 0))
+        for degree, q, R in ((1, 55, 100), (2, 220, 550)):
+            phi = consequent_basis(Z, X, V, VN, 0.01, degree)
+            raw = regressor_matrix(Z, X, V, VN, 0.01, degree)
+            T = np.linalg.lstsq(phi, raw, rcond=None)[0]
+            assert phi.shape[1] == q == np.linalg.matrix_rank(raw)
+            assert raw.shape[1] == R
+            assert np.max(np.abs(phi @ T - raw)) <= 1e-9 * np.max(np.abs(raw))
 
 
 class TestConsequent:
@@ -320,8 +340,17 @@ class TestModelInference:
             assert np.allclose(Y[k], y, atol=1e-14)
 
 
+def _exponents(k, degree):
+    """Exponent rows of the monomials of degree <= degree in k variables,
+    in graded order, each degree in lexicographic order of its variables."""
+    return [np.bincount(combo, minlength=k).tolist()
+            for d in range(degree + 1)
+            for combo in itertools.combinations_with_replacement(range(k), d)]
+
+
 def _random_model(rng, n, m, p, degree):
-    """Model with random premises, coefficients, normalization and b weights."""
+    """(model, its paper-form consequents): random premises, coefficients,
+    normalization and b weights."""
     B = basis_size(3 * n, degree)
     rules = []
     for _ in range(p):
@@ -334,12 +363,14 @@ def _random_model(rng, n, m, p, degree):
         rules.append((prem, cons))
     norm = Normalization(rng.normal(size=3 * n), rng.uniform(0.5, 2.0, 3 * n))
     b = float(rng.uniform())
-    return IT2PFModel(Channel.ENVIRONMENT, 0.01, rules, norm,
-                      TypeReductionConfig(b, 1.0 - b))
+    model = IT2PFModel(Channel.ENVIRONMENT, 0.01, rules, norm,
+                       TypeReductionConfig(b, 1.0 - b))
+    return model, [cons for _, cons in rules]
 
 
-def _reference_predict(model, x, v, v_next):
-    """Per-rule evaluation of the module-docstring formula at one row.
+def _reference_predict(model, conses, x, v, v_next):
+    """Per-rule evaluation of the module-docstring formula at one row, with
+    the rules' paper-form consequents conses.
 
     Returns (y, magnitude, degenerate); magnitude is the blended sum of the
     absolute values of every consequent term, the scale of y's roundoff.
@@ -347,10 +378,10 @@ def _reference_predict(model, x, v, v_next):
     z = (np.concatenate([x, v, v_next]) - model.norm.mean) / model.norm.scale
     a = (v_next - v) / model.dt
     phi = np.array([math.prod(zj ** int(e) for zj, e in zip(z, row))
-                    for row in monomial_exponents(3 * model.n, model.degree)])
+                    for row in _exponents(3 * model.n, model.degree)])
     b_lo, b_up = model.tr_config.b_lower, model.tr_config.b_upper
     omegas, outputs, mags = [], [], []
-    for prem, cons in model.rules:
+    for (prem, _), cons in zip(model.rules, conses):
         lo = up = 1.0
         for s, zj in zip(prem.sets, z):
             lo *= math.exp(-(zj - s.center) ** 2
@@ -393,12 +424,12 @@ class TestStackedInference:
     @settings(max_examples=60, deadline=None)
     def test_matches_per_rule_reference(self, degree, n, m, p, seed):
         rng = np.random.default_rng(seed)
-        model = _random_model(rng, n, m, p, degree)
+        model, conses = _random_model(rng, n, m, p, degree)
         X, V, VN = _rows_near_and_far(rng, model)
         Y, degen = model.predict_batch(X, V, VN)
         assert degen.tolist() == [False] * 4 + [True] * 2
         for k in range(X.shape[0]):
-            y, mag, d = _reference_predict(model, X[k], V[k], VN[k])
+            y, mag, d = _reference_predict(model, conses, X[k], V[k], VN[k])
             assert degen[k] == d
             assert np.all(np.abs(Y[k] - y) <= 1e-12 * mag)
         # the single-row path is the one-row batch, bit for bit
@@ -408,7 +439,7 @@ class TestStackedInference:
 
     def test_row_blocks_match_rows_one_by_one(self, monkeypatch):
         rng = np.random.default_rng(5)
-        model = _random_model(rng, n=2, m=2, p=4, degree=2)
+        model, conses = _random_model(rng, n=2, m=2, p=4, degree=2)
         X, V, VN = _rows_near_and_far(rng, model, n_near=8, n_far=3)
         monkeypatch.setattr(core, "_ROW_BLOCK", 4)   # 11 rows -> 3 blocks
         Y, degen = model.predict_batch(X, V, VN)
@@ -416,7 +447,7 @@ class TestStackedInference:
         whole, whole_degen = model.predict_batch(X, V, VN)
         for k in range(X.shape[0]):
             y, d = model.predict(X[k], V[k], VN[k])
-            _, mag, _ = _reference_predict(model, X[k], V[k], VN[k])
+            _, mag, _ = _reference_predict(model, conses, X[k], V[k], VN[k])
             assert degen[k] == d == whole_degen[k]
             assert np.all(np.abs(Y[k] - y) <= 1e-12 * mag)
             assert np.all(np.abs(Y[k] - whole[k]) <= 1e-12 * mag)

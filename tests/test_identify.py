@@ -11,13 +11,15 @@ from it2pf.core import (
     Dataset,
     Normalization,
     TrainingError,
+    basis_size,
+    consequent_basis,
     eval_consequent,
     materialize_ticks,
 )
 from it2pf.envsim import PressProtocol, default_env, generate_benchmark
 from it2pf.identify import (
     TrainConfig,
-    _gram_basis,
+    _column_scaled,
     _weighted_lstsq,
     assemble_regressor,
     cluster_rules,
@@ -107,10 +109,11 @@ class TestRobustFit:
         ds = _linear_dataset(3.0, 2.0)
         cfg = TrainConfig(degree=0, delta=0.0)
         cons, rep = robust_fit_rule(ds, np.ones(ds.n_samples), cfg)
-        assert cons.coeffs_K[0, 0, 0] == pytest.approx(3.0, rel=1e-6)
-        assert cons.coeffs_C[0, 0, 0] == pytest.approx(2.0, rel=1e-6)
-        assert abs(cons.coeffs_M[0, 0, 0]) < 1e-6
-        assert abs(cons.coeffs_f[0, 0]) < 1e-6
+        M, C, K, f = cons.beta[:, 0]  # at degree 0 beta is [M, C, K, f]
+        assert K == pytest.approx(3.0, rel=1e-6)
+        assert C == pytest.approx(2.0, rel=1e-6)
+        assert abs(M) < 1e-6
+        assert abs(f) < 1e-6
 
     def test_huber_matches_ols_without_outliers(self):
         ds = _linear_dataset(1.5, -0.5, noise=0.01, seed=3)
@@ -123,17 +126,10 @@ class TestRobustFit:
         R = regressor_matrix(ds.feature_matrix(), ds.x, ds.v, ds.v_next,
                              ds.dt, 0)
         theta_ols, *_ = np.linalg.lstsq(R, ds.y[:, 0], rcond=None)
-        theta_inf = np.concatenate([cons_inf.coeffs_M[0].ravel(),
-                                    cons_inf.coeffs_C[0].ravel(),
-                                    cons_inf.coeffs_K[0].ravel(),
-                                    cons_inf.coeffs_f[0]])
-        assert np.allclose(theta_inf, theta_ols, atol=1e-9)
+        # at degree 0 beta is theta, [M, C, K, f]
+        assert np.allclose(cons_inf.beta[:, 0], theta_ols, atol=1e-9)
         # finite threshold on mildly noisy clean data stays close to OLS
-        theta_h = np.concatenate([cons_h.coeffs_M[0].ravel(),
-                                  cons_h.coeffs_C[0].ravel(),
-                                  cons_h.coeffs_K[0].ravel(),
-                                  cons_h.coeffs_f[0]])
-        assert np.allclose(theta_h, theta_ols, atol=1e-2)
+        assert np.allclose(cons_h.beta[:, 0], theta_ols, atol=1e-2)
 
     def test_huber_beats_ols_under_outliers(self):
         rng = np.random.default_rng(9)
@@ -149,12 +145,9 @@ class TestRobustFit:
         cons_h, _ = robust_fit_rule(ds, w, cfg)
         cons_ols, _ = robust_fit_rule(ds, w, config_with(cfg,
                                                          huber_k=np.inf))
-        truth = np.array([0.0, 1.0, 2.0, 0.0])  # [M, C, K, f]
-        def vec(c):
-            return np.array([c.coeffs_M[0, 0, 0], c.coeffs_C[0, 0, 0],
-                             c.coeffs_K[0, 0, 0], c.coeffs_f[0, 0]])
-        err_h = np.linalg.norm(vec(cons_h) - truth)
-        err_ols = np.linalg.norm(vec(cons_ols) - truth)
+        truth = np.array([0.0, 1.0, 2.0, 0.0])  # [M, C, K, f], beta at degree 0
+        err_h = np.linalg.norm(cons_h.beta[:, 0] - truth)
+        err_ols = np.linalg.norm(cons_ols.beta[:, 0] - truth)
         assert err_h < err_ols
 
     def test_insufficient_effective_weight(self):
@@ -187,9 +180,9 @@ class TestTrain:
     def test_forced_single_rule_matches_ols_oracle(self):
         ds = _linear_dataset(4.0, -1.5, seed=7)
         model, _ = train(ds, TrainConfig(degree=0, delta=0.0, force_p=1))
-        cons = model.rules[0][1]
-        assert cons.coeffs_K[0, 0, 0] == pytest.approx(4.0, rel=1e-6)
-        assert cons.coeffs_C[0, 0, 0] == pytest.approx(-1.5, rel=1e-6)
+        _, C, K, _ = model.rules[0][1].beta[:, 0]  # [M, C, K, f] at degree 0
+        assert K == pytest.approx(4.0, rel=1e-6)
+        assert C == pytest.approx(-1.5, rel=1e-6)
 
     def test_determinism(self):
         ds = _linear_dataset(1.0, 0.5, noise=0.05, seed=2)
@@ -257,13 +250,12 @@ class TestTrain:
 # The guarded Gram step
 # ---------------------------------------------------------------------------
 
-def _random_regressors(rng, n, degree, N=300):
-    """Raw-scale regressors of random features, their normalized z."""
+def _random_rows(rng, n, N=300):
+    """(Zn, X, V, VN): raw-scale random features and their normalized z."""
     mean, scale = rng.normal(size=3 * n), rng.uniform(0.1, 3.0, size=3 * n)
     raw = rng.normal(size=(N, 3 * n)) * scale + mean
-    Zn = Normalization(mean, scale).apply(raw)
-    X, V, VN = np.split(raw, 3, axis=1)
-    return Zn, regressor_matrix(Zn, X, V, VN, 0.01, degree)
+    return (Normalization(mean, scale).apply(raw),
+            *np.split(raw, 3, axis=1))
 
 
 def _random_dataset(seed=0, constant_x=False):
@@ -281,8 +273,8 @@ def _random_dataset(seed=0, constant_x=False):
 def _rule_fit_args(ds, cfg):
     norm, _ = cluster_rules(ds, cfg)
     Zn = norm.apply(ds.feature_matrix())
-    R = regressor_matrix(Zn, ds.x, ds.v, ds.v_next, ds.dt, cfg.degree)
-    return norm, R, _gram_basis(Zn, R, cfg.degree)
+    return norm, consequent_basis(Zn, ds.x, ds.v, ds.v_next, ds.dt,
+                                  cfg.degree)
 
 
 def _same_model(a, b):
@@ -304,51 +296,59 @@ class TestGramStep:
     @given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2),
            st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_equals_minimum_norm_lstsq(self, degree, n, m, seed):
+    def test_fits_the_values_of_raw_lstsq(self, degree, n, m, seed):
+        # beta on Phi fits what the minimum-norm raw theta fits
         rng = np.random.default_rng(seed)
-        Zn, R = _random_regressors(rng, n, degree)
-        basis = _gram_basis(Zn, R, degree)
-        assert basis[0].shape[1] < R.shape[1]
+        rows = (*_random_rows(rng, n), 0.01, degree)
+        phi, R = consequent_basis(*rows), regressor_matrix(*rows)
+        assert phi.shape[1] < R.shape[1]
         w = rng.uniform(0.01, 1.0, size=R.shape[0])
         sw = np.sqrt(w)
         for y in rng.normal(size=(m, R.shape[0])):
-            theta, _, fell_back = _weighted_lstsq(R, y, w, basis)
-            ref = np.linalg.lstsq(R * sw[:, None], y * sw, rcond=None)[0]
-            assert not fell_back
-            assert np.linalg.norm(theta - ref) <= \
+            beta, _, svd, _ = _weighted_lstsq(phi, y, w, _column_scaled(phi))
+            ref = R @ np.linalg.lstsq(R * sw[:, None], y * sw, rcond=None)[0]
+            assert not svd
+            assert np.linalg.norm(phi @ beta - ref) <= \
                 1e-9 * np.linalg.norm(ref)
 
     def test_degree0_basis_is_the_column_scaled_regressor(self):
+        # the degree-0 Gram step is the one that scales the raw regressor
+        # [a, v, x, 1] column by column and maps back by diag(1 / scale)
         rng = np.random.default_rng(0)
-        Zn, R = _random_regressors(rng, 1, 0)
-        phi, t_pinv = _gram_basis(Zn, R, 0)
+        rows = (*_random_rows(rng, 1), 0.01, 0)
+        phi, R = consequent_basis(*rows), regressor_matrix(*rows)
+        assert np.array_equal(phi, R)
+        y, w = rng.normal(size=R.shape[0]), rng.uniform(0.01, 1.0, R.shape[0])
         scale = np.linalg.norm(R, axis=0)
-        assert np.array_equal(phi, R / scale)
-        assert np.array_equal(t_pinv, np.diag(1.0 / scale))
+        L = np.linalg.cholesky(((R / scale) * w[:, None]).T @ (R / scale))
+        ref = np.diag(1.0 / scale) @ np.linalg.solve(
+            L.T, np.linalg.solve(L, (R / scale).T @ (w * y)))
+        beta, _, svd, _ = _weighted_lstsq(phi, y, w, _column_scaled(phi))
+        assert not svd and np.array_equal(beta, ref)
 
     @given(st.integers(1, 2), st.integers(1, 2), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_degree0_step_equals_lstsq(self, n, m, seed):
         rng = np.random.default_rng(seed)
-        Zn, R = _random_regressors(rng, n, 0)
-        basis = _gram_basis(Zn, R, 0)
-        w = rng.uniform(0.01, 1.0, size=R.shape[0])
+        phi = consequent_basis(*_random_rows(rng, n), 0.01, 0)
+        w = rng.uniform(0.01, 1.0, size=phi.shape[0])
         sw = np.sqrt(w)
-        for y in rng.normal(size=(m, R.shape[0])):
-            theta, cond, fell_back = _weighted_lstsq(R, y, w, basis)
-            ref = np.linalg.lstsq(R * sw[:, None], y * sw, rcond=None)[0]
-            assert not fell_back and cond ** 2 <= identify._GRAM_COND_MAX
-            assert np.linalg.norm(theta - ref) <= \
+        for y in rng.normal(size=(m, phi.shape[0])):
+            beta, cond, svd, _ = _weighted_lstsq(phi, y, w,
+                                                 _column_scaled(phi))
+            ref = np.linalg.lstsq(phi * sw[:, None], y * sw, rcond=None)[0]
+            assert not svd and cond ** 2 <= identify._GRAM_COND_MAX
+            assert np.linalg.norm(beta - ref) <= \
                 1e-9 * np.linalg.norm(ref)
 
     def test_rank_deficient_basis_takes_the_svd_step_bit_for_bit(self):
         ds = _random_dataset(constant_x=True)
         cfg = TrainConfig(degree=1, delta=0.1)
-        norm, R, basis = _rule_fit_args(ds, cfg)
+        norm, phi = _rule_fit_args(ds, cfg)
         w = np.random.default_rng(1).uniform(0.2, 1.0, ds.n_samples)
-        cons_g, rep_g = robust_fit_rule(ds, w, cfg, norm, R, basis)
-        cons_s, rep_s = robust_fit_rule(ds, w, cfg, norm, R)
-        assert np.array_equal(cons_g.theta, cons_s.theta)
+        cons_g, rep_g = robust_fit_rule(ds, w, cfg, norm, phi, gram=True)
+        cons_s, rep_s = robust_fit_rule(ds, w, cfg, norm, phi)
+        assert np.array_equal(cons_g.beta, cons_s.beta)
         assert rep_g == rep_s
         assert rep_g["svd_steps"] == rep_g["rule_iterations"] + 1
         assert rep_g["rank_fallback"]
@@ -365,23 +365,43 @@ class TestGramStep:
         # objective; the SVD retry must still carry IRLS to convergence
         ds = _random_dataset()
         cfg = TrainConfig(degree=1, delta=0.0)
-        norm, R, basis = _rule_fit_args(ds, cfg)
+        norm, phi = _rule_fit_args(ds, cfg)
         w = np.ones(ds.n_samples)
-        cons_ref, rep_ref = robust_fit_rule(ds, w, cfg, norm, R, basis)
+        cons_ref, rep_ref = robust_fit_rule(ds, w, cfg, norm, phi, gram=True)
         real, calls = identify._weighted_lstsq, []
 
-        def spoiled(rows, target, u, basis=None):
-            theta, cond, fell_back = real(rows, target, u, basis)
-            calls.append(basis is not None)
-            if basis is not None and len(calls) > 1:
-                theta = 1.5 * theta
-            return theta, cond, fell_back
+        def spoiled(phi, target, u, scaled=None):
+            beta, cond, svd, short = real(phi, target, u, scaled)
+            calls.append(scaled is not None)
+            if scaled is not None and len(calls) > 1:
+                beta = 1.5 * beta
+            return beta, cond, svd, short
 
         monkeypatch.setattr(identify, "_weighted_lstsq", spoiled)
-        cons, rep = robust_fit_rule(ds, w, cfg, norm, R, basis)
+        cons, rep = robust_fit_rule(ds, w, cfg, norm, phi, gram=True)
         assert rep_ref["rule_iterations"] > 1 and rep_ref["svd_steps"] == 0
         assert rep["svd_steps"] == rep["rule_iterations"] > 1
-        assert np.allclose(cons.theta, cons_ref.theta, rtol=1e-6, atol=1e-9)
+        assert not rep["rank_fallback"]
+        assert np.allclose(cons.beta, cons_ref.beta, rtol=1e-6, atol=1e-9)
+
+    def test_svd_steps_count_every_lstsq_call(self, monkeypatch):
+        # x within 1e-3 of v: the Gram guard sends full-rank steps to SVD,
+        # which svd_steps counts and rank_fallback does not flag
+        rng = np.random.default_rng(0)
+        x, v, vn = rng.normal(size=(3, 400, 1))
+        x = v + 1e-3 * rng.normal(size=v.shape)
+        y = 2.0 * v + np.sin(3 * vn) + x * v + 0.1 * rng.standard_t(2, v.shape)
+        ds = Dataset(Channel.ENVIRONMENT, 0.01, x, v, vn, y)
+        real, calls = np.linalg.lstsq, []
+
+        def counted(*args, **kw):
+            calls.append(None)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        _, rep = train(ds, TrainConfig(degree=0, delta=0.1, force_p=3))
+        assert sum(rep.svd_steps) == len(calls) > 0
+        assert not any(rep.rank_fallback)
 
     def test_pressing_fit_takes_no_svd_step(self, press_split):
         tr, _ = press_split
@@ -414,6 +434,22 @@ class TestFitReport:
         ds = _linear_dataset(1.0, 0.5, noise=0.05, seed=2)
         _, rep = train(ds, TrainConfig(degree=1, delta=0.2, force_p=2))
         assert 1 < rep.fcm_iterations < 200 and rep.fcm_converged
+
+    def test_train_builds_no_paper_form_regressor(self, monkeypatch):
+        from it2pf import core
+        real, calls = core.regressor_matrix, []
+
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
+
+        for module in (core, identify):
+            monkeypatch.setattr(module, "regressor_matrix", counted)
+        ds = _linear_dataset(1.0, 0.5, noise=0.05, seed=2)
+        for degree in (0, 1, 2):
+            model, _ = train(ds, TrainConfig(degree=degree, force_p=1))
+            assert model._theta.shape == (basis_size(3, degree + 1), 1)
+        assert calls == []
 
     def test_clusters_can_be_passed_in(self):
         ds = _linear_dataset(1.0, 0.5, noise=0.05, seed=2)

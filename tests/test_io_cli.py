@@ -1,6 +1,7 @@
 """Persistence formats, experiment configuration, and the command line."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from it2pf.modelio import (
     write_dataset_csv,
 )
 from it2pf.pegsim import EpisodeReport, PegWorldConfig, record_demonstrations
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def _linear_ticks(n_trials=6, n_ticks=40, seed=0):
@@ -124,7 +127,42 @@ class TestModelIO:
         assert np.max(np.abs(p1 - p2)) <= 1e-15
         assert np.array_equal(d1, d2)
         assert loaded.channel is model.channel
-        assert loaded.delta == model.delta
+        assert all(np.array_equal(a.deltas, b.deltas)
+                   for (a, _), (b, _) in zip(loaded.rules, model.rules))
+
+    def test_v2_file_is_byte_stable(self, tmp_path):
+        _, model = self._trained()
+        paths = [str(tmp_path / f"m{k}.json") for k in range(2)]
+        save_model(paths[0], model)
+        save_model(paths[1], load_model(paths[0]))
+        with open(paths[0]) as fh0, open(paths[1]) as fh1:
+            first, second = fh0.read(), fh1.read()
+        assert first == second
+        doc = json.loads(first)
+        assert doc["format"] == "it2pf-model-v2" and "delta" not in doc
+        # n = 1, degree 1: beta has 10 rows for the 16 of [M, C, K, f]
+        assert [np.shape(r["beta"]) for r in doc["rules"]] == \
+            [(10, 1)] * model.p
+
+    @pytest.mark.parametrize("degree,q,p", [(0, 10, 3), (1, 55, 5)])
+    def test_v1_files_still_load(self, tmp_path, degree, q, p):
+        # each file was written by the v1 writer (commit 04bf6c2) from a 5 %
+        # pressing split, next to that release's predictions at 40 held-out
+        # rows; v1 holds the paper's M, C, K, f, read here into beta
+        path = os.path.join(DATA, f"press_v1_degree{degree}")
+        with open(path + "_predictions.json") as fh:
+            ref = json.load(fh)
+        rows = [np.array(ref[key]) for key in ("x", "v", "v_next")]
+        model = load_model(path + ".json")
+        Y, degen = model.predict_batch(*rows)
+        assert model._theta.shape == (q, p) and not degen.any()
+        assert np.max(np.abs(Y - ref["y"])) <= \
+            1e-12 * np.max(np.abs(ref["y"]))
+        if degree == 0:  # beta is theta
+            assert np.array_equal(Y, ref["y"])
+        save_model(str(tmp_path / "v2.json"), model)
+        Y2, _ = load_model(str(tmp_path / "v2.json")).predict_batch(*rows)
+        assert np.array_equal(Y2, Y)
 
     def test_lkv_roundtrip(self, tmp_path):
         ds = materialize_ticks(Channel.ENVIRONMENT, 0.01, *_linear_ticks())
@@ -451,8 +489,15 @@ class TestTableGoldens:
         assert main(["train", "--config", str(ini), "--data", str(data),
                      "--out", str(tmp_path / "m.json"), "--model", "lkv",
                      "--report", str(report)]) == 0
-        assert report.read_text() == ("#it2pf-fit-report-v1\n"
-                                      "training_rmse,0.0\n")
+        assert report.read_text() == ("#it2pf-fit-report-v2\n"
+                                      "training_rmse,0.0\n"
+                                      "rules_kept,\n"
+                                      "rules_dropped,\n"
+                                      "degenerate_samples,\n"
+                                      "fcm_iterations,\n"
+                                      "fcm_converged,\n"
+                                      "irls_capped_rules,\n"
+                                      "svd_steps,\n")
 
 
 @pytest.fixture
@@ -489,6 +534,28 @@ class TestCLI:
         p, _ = loaded.predict_batch(ds.x, ds.v, ds.v_next)
         fresh = float(np.sqrt(np.mean(np.sum((p - ds.y) ** 2, axis=1))))
         assert abs(stored - fresh) <= 1e-9 * max(1.0, abs(fresh))
+
+    def test_fit_report_of_a_fuzzy_fit(self, tmp_path, small_config):
+        data, report = str(tmp_path / "env.csv"), tmp_path / "fit.txt"
+        assert main(["gen-env", "--config", small_config, "--out", data]) == 0
+        assert main(["train", "--config", small_config, "--data", data,
+                     "--out", str(tmp_path / "m.json"), "--model", "it2pfml",
+                     "--report", str(report)]) == 0
+        model, fit = train(read_dataset_csv(data),
+                           parse_config(small_config).train)
+        rows = dict(line.split(",")
+                    for line in report.read_text().splitlines()[1:])
+        assert {key: value for key, value in rows.items()
+                if key != "training_rmse"} == {
+            "rules_kept": str(model.p),
+            "rules_dropped": str(fit.dropped_rules),
+            "degenerate_samples": str(fit.degenerate_samples),
+            "fcm_iterations": str(fit.fcm_iterations),
+            "fcm_converged": str(int(fit.fcm_converged)),
+            "irls_capped_rules": str(sum(fit.irls_capped)),
+            "svd_steps": str(sum(fit.svd_steps))}
+        assert float(rows["training_rmse"]) == pytest.approx(
+            fit.training_rmse, rel=1e-12)
 
     def test_benchmark_runs_are_byte_identical(self, tmp_path, small_config):
         data = str(tmp_path / "env.csv")
