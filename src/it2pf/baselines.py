@@ -56,13 +56,6 @@ def fit_lkv(dataset: Dataset) -> LKVModel:
     return LKVModel(theta[:n].T, theta[n:].T)
 
 
-def predict_lkv(model: LKVModel, x, v):
-    x = np.asarray(x, dtype=float).reshape(-1)
-    v = np.asarray(v, dtype=float).reshape(-1)
-    Y, _ = model.predict_batch(x[None, :], v[None, :])
-    return Y[0]
-
-
 def fit_tsfmb(dataset: Dataset, config: TrainConfig, clusters=None):
     """Type-1 T-S model: constant consequents, collapsed intervals."""
     return train(dataset, replace(config, degree=0, delta=0.0), clusters)

@@ -81,14 +81,9 @@ def fit_named_model(name: str, train_set: Dataset, config: TrainConfig,
     raise ParameterError(f"unknown model name {name!r}")
 
 
-def per_trial_metrics(model, test_set: Dataset):
-    """(trial_id, rmse, mae) rows over the test trials, sorted by id."""
-    pred, _ = model.predict_batch(test_set.x, test_set.v, test_set.v_next)
-    return _trial_rows(pred, test_set)
-
-
-def _trial_rows(pred, test_set: Dataset):
-    """per_trial_metrics of the predictions pred on test_set."""
+def per_trial_metrics(pred, test_set: Dataset):
+    """(trial_id, rmse, mae) rows of the predictions pred over the test
+    trials, sorted by id."""
     # a stable sort keeps each trial's rows in their original order
     order = np.argsort(test_set.trial_id, kind="stable")
     tids, starts = np.unique(test_set.trial_id[order], return_index=True)
@@ -137,7 +132,7 @@ def run_benchmark(dataset: Dataset, models, split: Split, seeds,
             try:
                 model, _ = fit_named_model(name, tr, config, clusters)
                 pred, _ = model.predict_batch(te.x, te.v, te.v_next)
-                trial_rows = _trial_rows(pred, te)
+                trial_rows = per_trial_metrics(pred, te)
             except FuzzyModelError as exc:
                 report.failures.append(
                     {"model": name, "seed": seed, "error": str(exc)})
@@ -156,31 +151,26 @@ def run_benchmark(dataset: Dataset, models, split: Split, seeds,
     return report
 
 
-def learning_curve(dataset: Dataset, model_factory, fractions, n_seeds,
-                   seed_base: int = 0):
-    """Test RMSE as a function of the training fraction.
-
-    model_factory(train_set, seed) must return a fitted predictor.  Cells
-    whose training fails are recorded as missing.  Returns a dict with
-    per-cell rows and per-fraction median / interquartile range.
+def learning_curve(dataset: Dataset, model: str, fractions, n_seeds,
+                   config: TrainConfig = None, seed_base: int = 0):
+    """Test RMSE of one model (a MODEL_NAMES name) as a function of the
+    training fraction: one run_benchmark per fraction over the split seeds
+    seed_base, seed_base + 1, ...  Cells whose training fails are recorded
+    as missing.  Returns a dict with per-cell rows and per-fraction
+    median / interquartile range.
     """
     fractions = list(fractions)
     if any(b <= a for a, b in zip(fractions, fractions[1:])):
         raise ParameterError("fractions must be sorted ascending")
+    seeds = range(seed_base, seed_base + n_seeds)
     cells = []
     for frac in fractions:
-        for s in range(n_seeds):
-            seed = seed_base + s
-            tr, te = split_trials(dataset, Split(frac, seed))
-            value, error = float("nan"), ""
-            try:
-                model = model_factory(tr, seed)
-                pred, _ = model.predict_batch(te.x, te.v, te.v_next)
-                value = rmse(pred, te.y)
-            except FuzzyModelError as exc:
-                error = str(exc)
-            cells.append({"fraction": frac, "seed": seed, "rmse": value,
-                          "error": error})
+        report = run_benchmark(dataset, (model,), Split(frac), seeds, config)
+        value = {a["seed"]: a["pooled_rmse"] for a in report.aggregates}
+        error = {f["seed"]: f["error"] for f in report.failures}
+        cells += [{"fraction": frac, "seed": seed,
+                   "rmse": value.get(seed, float("nan")),
+                   "error": error.get(seed, "")} for seed in seeds]
     summary = []
     for frac in fractions:
         vals = np.array([c["rmse"] for c in cells

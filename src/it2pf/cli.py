@@ -8,13 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .bench import (MODEL_NAMES, fit_named_model, learning_curve, rmse,
                     run_benchmark)
-from .clustering import SubtractiveParams
 from .core import Channel, FuzzyModelError, InputDomainError, ParameterError, \
     ShapeError, StructuralError, TrainingError
 from .envsim import generate_benchmark_ticks
@@ -25,7 +23,7 @@ from .modelio import (ConfigError, FormatError, atomic_write_text,
                       predictions_csv, read_dataset_csv, load_model,
                       save_model, trace_csv, write_dataset_csv, _fmt)
 from .pegsim import (RPController, build_scripts, demonstrations_ticks,
-                     run_episode)
+                     episode_seed, run_episode)
 
 _ERROR_CATEGORY = (
     (ConfigError, "config"),
@@ -37,15 +35,6 @@ _ERROR_CATEGORY = (
     (StructuralError, "structure"),
     (FuzzyModelError, "runtime"),
 )
-
-
-def _rp_train_config(cfg):
-    peg = cfg.peg
-    return replace(cfg.train, degree=peg.rp_degree, delta=peg.rp_delta,
-                   subtractive=SubtractiveParams(r_a=peg.rp_r_a),
-                   max_cluster_points=peg.rp_max_cluster_points,
-                   force_p=peg.rp_force_p,
-                   width_scale=peg.rp_width_scale)
 
 
 def _cmd_gen_env(args):
@@ -96,13 +85,8 @@ def _cmd_benchmark(args):
 def _cmd_learning_curve(args):
     cfg = parse_config(args.config)
     dataset = read_dataset_csv(args.data)
-
-    def factory(train_set, seed):
-        model, _ = train(train_set, cfg.train)
-        return model
-
-    curve = learning_curve(dataset, factory, cfg.curve_fractions,
-                           cfg.curve_seeds, seed_base=cfg.seed)
+    curve = learning_curve(dataset, "it2pfml", cfg.curve_fractions,
+                           cfg.curve_seeds, cfg.train, cfg.seed)
     atomic_write_text(args.out, learning_curve_csv(curve))
     print(f"wrote {args.out}")
     return 0
@@ -120,7 +104,7 @@ def _cmd_gen_demo(args):
 
 def _cmd_train_rp(args):
     cfg = parse_config(args.config)
-    rp_cfg = _rp_train_config(cfg)
+    rp_cfg = cfg.peg.train_config(cfg.train)
     mt = read_dataset_csv(args.mt)
     ga = read_dataset_csv(args.ga)
     mt_model, _ = train(mt, rp_cfg)
@@ -138,7 +122,7 @@ def _cmd_run_peg(args):
                               load_model(args.ga_model), tau=cfg.peg.tau)
     episodes = []
     for e in range(cfg.peg.n_episodes):
-        seed = cfg.seed * 7919 + e
+        seed = episode_seed(cfg.seed, e)
         left, _ = build_scripts(world, seed=seed)
         rep = run_episode(world, left, controller, seed=seed)
         episodes.append((seed, rep))

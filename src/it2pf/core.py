@@ -147,33 +147,17 @@ class Dataset:
         return np.hstack([self.x, self.v, self.v_next])
 
 
-def concat_datasets(parts) -> Dataset:
-    """One dataset from compatible parts; the trials of each part are
-    renumbered 0, 1, ... after those of the parts before it."""
-    parts = list(parts)
-    if not parts:
-        raise StructuralError("no datasets to concatenate")
-    ref = parts[0]
-    for p in parts[1:]:
-        if p.channel != ref.channel or p.n != ref.n or p.m != ref.m:
-            raise ShapeError("datasets are not compatible")
-        if abs(p.dt - ref.dt) > 1e-12:
-            raise ParameterError("datasets have differing dt")
-    tids = []
-    offset = 0
-    for p in parts:
-        _, dense = np.unique(p.trial_id, return_inverse=True)
-        tids.append(dense + offset)
-        offset = tids[-1].max() + 1
-    return Dataset(
-        ref.channel, ref.dt,
-        np.vstack([p.x for p in parts]),
-        np.vstack([p.v for p in parts]),
-        np.vstack([p.v_next for p in parts]),
-        np.vstack([p.y for p in parts]),
-        np.concatenate(tids),
-        np.concatenate([p.t for p in parts]),
-    )
+def _tick_arrays(t, trial_id, x, v, y):
+    """Per-tick records as arrays: t and trial_id (N,), and x, v and y as
+    (N, dim) rows, where a 1-D x, v or y over N > 1 ticks is one column."""
+    t = np.asarray(t, dtype=float)
+    trial_id = np.asarray(trial_id, dtype=int)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    v = np.atleast_2d(np.asarray(v, dtype=float))
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    if x.shape[0] == 1 and t.shape[0] > 1:
+        x, v, y = x.T, v.T, y.T
+    return t, trial_id, x, v, y
 
 
 def materialize_ticks(channel, dt, t, trial_id, x, v, y) -> Dataset:
@@ -183,13 +167,7 @@ def materialize_ticks(channel, dt, t, trial_id, x, v, y) -> Dataset:
     every trial carries no successor and is dropped.  Each trial's ticks
     must be contiguous, with t increasing by dt (to 1e-6 dt).
     """
-    t = np.asarray(t, dtype=float)
-    trial_id = np.asarray(trial_id, dtype=int)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    v = np.atleast_2d(np.asarray(v, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    if x.shape[0] == 1 and t.shape[0] > 1:
-        x, v, y = x.T, v.T, y.T
+    t, trial_id, x, v, y = _tick_arrays(t, trial_id, x, v, y)
     same = np.diff(trial_id) == 0
     if np.count_nonzero(~same) + 1 != np.unique(trial_id).size:
         raise StructuralError("the ticks of each trial must be contiguous")
@@ -437,12 +415,6 @@ class PolynomialConsequent:
         return np.hstack([self.coeffs_M.reshape(m, -1),
                           self.coeffs_C.reshape(m, -1),
                           self.coeffs_K.reshape(m, -1), self.coeffs_f]).T
-
-    @classmethod
-    def zeros(cls, n, m, degree):
-        B = basis_size(3 * n, degree)
-        return cls(degree, np.zeros((m, n, B)), np.zeros((m, n, B)),
-                   np.zeros((m, n, B)), np.zeros((m, B)))
 
 
 def regressor_matrix(Z, X, V, VN, dt, degree) -> np.ndarray:

@@ -16,7 +16,8 @@ from .clustering import SubtractiveParams, build_premises, fcm_refine, \
 from .core import (BasisConsequent, Dataset, IT2PFModel, Normalization,
                    ParameterError, TrainingError, TypeReductionConfig,
                    _firing_batch, _premise_tables, basis_size,
-                   consequent_basis, regressor_matrix, type_reduce_batch)
+                   consequent_basis, type_reduce_batch)
+from .core import regressor_matrix  # noqa: F401 (re-exported)
 
 
 @dataclass(frozen=True)
@@ -62,13 +63,6 @@ class FitReport:
     fcm_iterations: int = 0
     fcm_converged: bool = False  # FCM met fcm_tol before fcm_max_iter
     training_rmse: float = float("nan")
-
-
-def assemble_regressor(z, x, v, v_next, dt, degree) -> np.ndarray:
-    """One row of regressor_matrix: row @ theta is eval_consequent."""
-    rows = (np.asarray(a, dtype=float).reshape(1, -1)
-            for a in (z, x, v, v_next))
-    return regressor_matrix(*rows, dt, degree)[0]
 
 
 def _weighted_median(values, weights):
@@ -320,7 +314,3 @@ def train(dataset: Dataset, config: TrainConfig, clusters=None):
     err = pred - dataset.y
     report.training_rmse = float(np.sqrt(np.mean(np.sum(err ** 2, axis=1))))
     return model, report
-
-
-def config_with(config: TrainConfig, **kw) -> TrainConfig:
-    return replace(config, **kw)

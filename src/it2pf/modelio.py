@@ -21,11 +21,11 @@ from .bench import MODEL_NAMES, Split
 from .core import (BasisConsequent, Channel, Dataset, FuzzyModelError,
                    IT2Gaussian, IT2PFModel, Normalization,
                    PolynomialConsequent, RulePremise, TypeReductionConfig,
-                   materialize_ticks)
+                   _tick_arrays, materialize_ticks)
 from .envsim import (GaussianBump, PressProtocol, SiliconeEnv, _grid,
                      default_env)
 from .identify import TrainConfig
-from .pegsim import PegWorldConfig
+from .pegsim import PegRunConfig
 
 DATASET_FORMAT = "it2pf-dataset-v1"
 MODEL_FORMAT = "it2pf-model-v2"
@@ -99,13 +99,7 @@ def atomic_write_text(path, text):
 
 def write_dataset_csv(path, channel: Channel, dt, t, trial_id, x, v, y):
     """Per-tick dataset file; v_next is materialized again on read."""
-    t = np.asarray(t, dtype=float)
-    trial_id = np.asarray(trial_id, dtype=int)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    v = np.atleast_2d(np.asarray(v, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    if x.shape[0] == 1 and t.shape[0] > 1:
-        x, v, y = x.T, v.T, y.T
+    t, trial_id, x, v, y = _tick_arrays(t, trial_id, x, v, y)
     n, m = x.shape[1], y.shape[1]
     columns = (["t", "trial_id"] + [f"x{i+1}" for i in range(n)]
                + [f"v{i+1}" for i in range(n)] + [f"y{i+1}" for i in range(m)])
@@ -261,20 +255,6 @@ def load_model(path):
 # ---------------------------------------------------------------------------
 # Experiment configuration
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PegRunConfig:
-    world: PegWorldConfig = field(default_factory=PegWorldConfig)
-    n_demos: int = 5
-    n_episodes: int = 20
-    tau: float = 0.03
-    rp_degree: int = 0
-    rp_delta: float = 0.1
-    rp_r_a: float = 0.35
-    rp_max_cluster_points: int = 1500
-    rp_force_p: int = 30
-    rp_width_scale: float = 1.0
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:

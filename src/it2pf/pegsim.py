@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .clustering import SubtractiveParams
 from .core import (Channel, FuzzyModelError, IT2PFModel, ParameterError,
                    materialize_ticks)
 from .envsim import _minjerk
@@ -421,18 +422,6 @@ def demonstration_ticks(cfg: PegWorldConfig, left_script: OperatorScript,
     return mt, ga
 
 
-def record_demonstration(cfg: PegWorldConfig, left_script: OperatorScript,
-                         right_script: OperatorScript):
-    """Run both scripts, check the task succeeds, and record both channels.
-
-    Returns (h_mt dataset, h_ga dataset): per tick the operator (left)
-    state paired with the partner (right) state as the output.
-    """
-    mt, ga = demonstration_ticks(cfg, left_script, right_script)
-    return (materialize_ticks(Channel.MOTION, cfg.dt, *mt),
-            materialize_ticks(Channel.GESTURE, cfg.dt, *ga))
-
-
 # ---------------------------------------------------------------------------
 # Default task scripts
 # ---------------------------------------------------------------------------
@@ -527,3 +516,39 @@ def record_demonstrations(cfg: PegWorldConfig, n_demos: int, seed: int):
     mt, ga = demonstrations_ticks(cfg, n_demos, seed)
     return (materialize_ticks(Channel.MOTION, cfg.dt, *mt),
             materialize_ticks(Channel.GESTURE, cfg.dt, *ga))
+
+
+# ---------------------------------------------------------------------------
+# The Robotic Partner experiment
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PegRunConfig:
+    """The peg-transfer experiment: its world, demonstrations and episodes,
+    and the Robotic Partner's recipe, the rp_* training settings and the
+    controller's tau."""
+
+    world: PegWorldConfig = field(default_factory=PegWorldConfig)
+    n_demos: int = 5
+    n_episodes: int = 20
+    tau: float = 0.03
+    rp_degree: int = 0
+    rp_delta: float = 0.1
+    rp_r_a: float = 0.35
+    rp_max_cluster_points: int = 1500
+    rp_force_p: int = 30
+    rp_width_scale: float = 1.0
+
+    def train_config(self, base):
+        """The TrainConfig base with the Robotic Partner's settings."""
+        return replace(base, degree=self.rp_degree, delta=self.rp_delta,
+                       subtractive=SubtractiveParams(r_a=self.rp_r_a),
+                       max_cluster_points=self.rp_max_cluster_points,
+                       force_p=self.rp_force_p,
+                       width_scale=self.rp_width_scale)
+
+
+def episode_seed(master: int, e: int) -> int:
+    """The seed of run-peg's episode e (its script and its run) under the
+    master seed."""
+    return master * 7919 + e

@@ -13,7 +13,6 @@ import pytest
 
 from it2pf.baselines import fit_pfmb, fit_tsfmb
 from it2pf.bench import Split, learning_curve, run_benchmark
-from it2pf.clustering import SubtractiveParams
 from it2pf.core import (
     Channel,
     IT2Gaussian,
@@ -28,7 +27,6 @@ from it2pf.core import (
 from it2pf.envsim import PressProtocol, default_env, generate_benchmark
 from it2pf.identify import (
     TrainConfig,
-    config_with,
     regressor_matrix,
     robust_fit_rule,
     train,
@@ -37,7 +35,7 @@ from it2pf.modelio import load_model, save_model
 from it2pf.pegsim import (
     BlockState,
     OperatorScript,
-    PegWorldConfig,
+    PegRunConfig,
     RPController,
     build_scripts,
     record_demonstrations,
@@ -94,15 +92,14 @@ def bench_dataset():
 
 @pytest.fixture(scope="module")
 def rp_setup():
-    """Demonstrations and trained Robotic Partner channel models."""
-    cfg = PegWorldConfig()
-    mt, ga = record_demonstrations(cfg, 5, seed=0)
-    tc = TrainConfig(degree=0, delta=0.1,
-                     subtractive=SubtractiveParams(r_a=0.35),
-                     max_cluster_points=1500, force_p=30, width_scale=1.0)
+    """The experiment's config, its demonstrations and the trained Robotic
+    Partner channel models."""
+    peg = PegRunConfig()
+    mt, ga = record_demonstrations(peg.world, peg.n_demos, seed=0)
+    tc = peg.train_config(TrainConfig())
     mt_model, _ = train(mt, tc)
     ga_model, _ = train(ga, tc)
-    return cfg, mt, mt_model, ga_model
+    return peg, mt, mt_model, ga_model
 
 
 def test_criterion_1_baseline_ranking(bench_dataset):
@@ -132,13 +129,9 @@ def test_criterion_2_few_shot_curve(bench_dataset):
     fraction grows, and 10% of the data must get within 25% of the 50%
     budget's error."""
     cfg = TrainConfig(degree=1, delta=0.2)
-
-    def factory(train_set, seed):
-        model, _ = train(train_set, cfg)
-        return model
-
     fractions = (0.02, 0.05, 0.10, 0.25, 0.50)
-    curve = learning_curve(bench_dataset, factory, fractions, n_seeds=5)
+    curve = learning_curve(bench_dataset, "it2pfml", fractions, n_seeds=5,
+                           config=cfg)
     med = {row["fraction"]: row["median_rmse"] for row in curve["summary"]}
     complete = all(row["n_ok"] == 5 for row in curve["summary"])
     seq = [med[f] for f in fractions]
@@ -164,7 +157,7 @@ def test_criterion_3_oracle_equivalence():
     dsn = _linear_dataset(1.5, -0.5, noise=0.01, seed=3)
     cfg = TrainConfig(degree=0, delta=0.0)
     cons_inf, _ = robust_fit_rule(dsn, np.ones(dsn.n_samples),
-                                  config_with(cfg, huber_k=np.inf))
+                                  replace(cfg, huber_k=np.inf))
     Rn = regressor_matrix(dsn.feature_matrix(), dsn.x, dsn.v, dsn.v_next,
                           dsn.dt, 0)
     theta_n, *_ = np.linalg.lstsq(Rn, dsn.y[:, 0], rcond=None)
@@ -292,8 +285,9 @@ def test_criterion_6_peg_transfer(rp_setup):
     """The Robotic Partner trained from five demonstrations must complete
     at least 19 of 20 unseen episodes with a clean handover, averaging at
     most 27 s, without violating the world invariants."""
-    cfg, _, mt_model, ga_model = rp_setup
-    controller = RPController(mt_model, ga_model, tau=0.03)
+    peg, _, mt_model, ga_model = rp_setup
+    cfg = peg.world
+    controller = RPController(mt_model, ga_model, tau=peg.tau)
     n_ok = 0
     times = []
     conserved = True

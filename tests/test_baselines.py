@@ -9,7 +9,6 @@ from it2pf.baselines import (
     fit_lkv,
     fit_pfmb,
     fit_tsfmb,
-    predict_lkv,
 )
 from it2pf.identify import TrainConfig, train
 
@@ -62,17 +61,9 @@ class TestLKV:
 
     def test_predict_matches_matrix_algebra(self):
         model = LKVModel(K=[[2.0, 1.0]], C=[[0.5, -0.5]])
-        y = predict_lkv(model, [1.0, 2.0], [4.0, 2.0])
+        y, degen = model.predict_batch([[1.0, 2.0]], [[4.0, 2.0]])
         # 2*1 + 1*2 + 0.5*4 - 0.5*2 = 5.0
-        assert np.allclose(y, [5.0])
-
-    def test_predict_batch_matches_scalar(self):
-        ds = _dataset(lambda x, v: 5.0 * x + 0.3 * v)
-        model = fit_lkv(ds)
-        pred, degen = model.predict_batch(ds.x, ds.v)
-        assert not degen.any()
-        for k in range(0, ds.n_samples, 37):
-            assert np.allclose(pred[k], predict_lkv(model, ds.x[k], ds.v[k]))
+        assert np.allclose(y, [[5.0]]) and not degen.any()
 
     def test_shape_validation(self):
         with pytest.raises(ShapeError):

@@ -113,10 +113,9 @@ class TestBenchmarkRunner:
     def test_srmse_single_trial_equals_rmse(self):
         ds = _linear_dataset(n_trials=2, n_ticks=20)
         tr, te = split_trials(ds, Split(0.5, seed=0))
-        model = fit_lkv(tr)
-        rows = per_trial_metrics(model, te)
+        pred, _ = fit_lkv(tr).predict_batch(te.x, te.v)
+        rows = per_trial_metrics(pred, te)
         assert len(rows) == 1
-        pred, _ = model.predict_batch(te.x, te.v)
         assert np.isclose(rows[0][1], rmse(pred, te.y), rtol=1e-15)
 
     def test_srmse_sums_per_trial_values(self):
@@ -157,15 +156,31 @@ class TestBenchmarkRunner:
         assert report.failures and report.failures[0]["model"] == "lkv"
         assert not report.aggregates
 
+    def test_each_scored_cell_is_one_per_trial_metrics_call(
+            self, monkeypatch):
+        ds = _linear_dataset(n_trials=8, n_ticks=20)
+        real, calls = bench.per_trial_metrics, []
 
-    def test_trial_rows_keep_each_trials_row_order(self):
+        def counted(pred, test_set):
+            calls.append(None)
+            return real(pred, test_set)
+
+        monkeypatch.setattr(bench, "per_trial_metrics", counted)
+        report = run_benchmark(ds, ["lkv", "nope", "lkv"], Split(0.25),
+                               seeds=[0, 1, 2])
+        assert len(calls) == len(report.aggregates) == 6
+        assert len(report.failures) == 3
+        curve = learning_curve(ds, "lkv", [0.25, 0.5], n_seeds=2)
+        assert len(calls) == 6 + len(curve["cells"]) == 10
+
+    def test_per_trial_metrics_keep_each_trials_row_order(self):
         ds = _linear_dataset(n_trials=6, n_ticks=12)
         # interleaved trials: rows of one trial are not contiguous
         shuffled = ds.subset(np.random.default_rng(3).permutation(
             ds.n_samples))
         pred = shuffled.y + np.random.default_rng(4).normal(
             size=shuffled.y.shape)
-        rows = bench._trial_rows(pred, shuffled)
+        rows = per_trial_metrics(pred, shuffled)
         assert [r[0] for r in rows] == list(range(6))
         for tid, r, a in rows:
             mask = shuffled.trial_id == tid
@@ -229,8 +244,8 @@ class TestSharedClusters:
 class TestLearningCurve:
     def test_flat_curve_on_linear_data(self):
         ds = _linear_dataset(n_trials=20, n_ticks=20)
-        curve = learning_curve(ds, lambda tr, seed: fit_lkv(tr),
-                               fractions=[0.1, 0.25, 0.5], n_seeds=3)
+        curve = learning_curve(ds, "lkv", fractions=[0.1, 0.25, 0.5],
+                               n_seeds=3)
         for row in curve["summary"]:
             assert row["n_ok"] == 3
             assert row["median_rmse"] < 1e-6
@@ -238,13 +253,19 @@ class TestLearningCurve:
     def test_fractions_must_ascend(self):
         ds = _linear_dataset(n_trials=10, n_ticks=10)
         with pytest.raises(ParameterError):
-            learning_curve(ds, lambda tr, seed: fit_lkv(tr),
-                           fractions=[0.5, 0.1], n_seeds=1)
+            learning_curve(ds, "lkv", fractions=[0.5, 0.1], n_seeds=1)
+
+    def test_cells_are_the_benchmark_cells_from_seed_base(self):
+        ds = _linear_dataset(n_trials=10, n_ticks=10)
+        curve = learning_curve(ds, "lkv", fractions=[0.3], n_seeds=2,
+                               seed_base=5)
+        report = run_benchmark(ds, ["lkv"], Split(0.3), seeds=[5, 6])
+        assert [(c["seed"], c["rmse"]) for c in curve["cells"]] == \
+            [(a["seed"], a["pooled_rmse"]) for a in report.aggregates]
 
     def test_failed_cells_marked_missing(self):
         ds = _linear_dataset(n_trials=10, n_ticks=2)
-        curve = learning_curve(ds, lambda tr, seed: fit_lkv(tr),
-                               fractions=[0.1], n_seeds=2)
+        curve = learning_curve(ds, "lkv", fractions=[0.1], n_seeds=2)
         assert curve["summary"][0]["n_ok"] == 0
         assert np.isnan(curve["summary"][0]["median_rmse"])
         assert all(c["error"] for c in curve["cells"])

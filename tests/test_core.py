@@ -23,7 +23,6 @@ from it2pf.core import (
     StructuralError,
     TypeReductionConfig,
     basis_size,
-    concat_datasets,
     eval_consequent,
     eval_membership,
     firing_interval,
@@ -241,7 +240,9 @@ class TestBasis:
 
 class TestConsequent:
     def test_all_zero(self):
-        c = PolynomialConsequent.zeros(n=2, m=1, degree=1)
+        B = basis_size(6, 1)
+        c = PolynomialConsequent(1, np.zeros((1, 2, B)), np.zeros((1, 2, B)),
+                                 np.zeros((1, 2, B)), np.zeros((1, B)))
         y = eval_consequent(c, np.zeros(6), np.ones(2), np.ones(2),
                             np.ones(2), dt=0.01)
         assert np.all(y == 0.0)
@@ -512,11 +513,6 @@ class TestDataset:
         sub = ds.subset(np.arange(4))
         assert sub.n_samples == 4
         assert sub.trials().tolist() == [0]
-
-    def test_concat(self):
-        ds = materialize_ticks(Channel.ENVIRONMENT, 0.01, *_toy_ticks())
-        both = concat_datasets([ds, ds])
-        assert both.n_samples == 2 * ds.n_samples
 
     def test_feature_matrix_layout(self):
         ds = materialize_ticks(Channel.ENVIRONMENT, 0.01, *_toy_ticks())

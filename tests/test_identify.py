@@ -1,5 +1,7 @@
 """Model identification: regressors, robust rule fits, the train pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,9 +23,7 @@ from it2pf.identify import (
     TrainConfig,
     _column_scaled,
     _weighted_lstsq,
-    assemble_regressor,
     cluster_rules,
-    config_with,
     huber_objective,
     regressor_matrix,
     robust_fit_rule,
@@ -59,14 +59,14 @@ def _linear_dataset(K=3.0, C=2.0, **kw):
 
 class TestRegressor:
     def test_degree0_row_layout(self):
-        row = assemble_regressor(np.zeros(3), x=[2.0], v=[3.0],
-                                 v_next=[3.5], dt=0.5, degree=0)
+        R = regressor_matrix(np.zeros((1, 3)), np.array([[2.0]]),
+                             np.array([[3.0]]), np.array([[3.5]]), 0.5, 0)
         # [(v_next - v)/dt, v, x, 1]
-        assert np.allclose(row, [1.0, 3.0, 2.0, 1.0])
+        assert np.allclose(R, [[1.0, 3.0, 2.0, 1.0]])
 
     def test_degree1_row_length(self):
-        row = assemble_regressor(np.zeros(3), [1.0], [1.0], [1.0], 0.01, 1)
-        assert row.shape == (16,)
+        R = regressor_matrix(np.zeros((1, 3)), *np.ones((3, 1, 1)), 0.01, 1)
+        assert R.shape == (1, 16)
 
     def test_row_theta_duality(self):
         # row @ theta must reproduce eval_consequent for random coefficients
@@ -81,10 +81,10 @@ class TestRegressor:
             coeffs_K=rng.normal(size=(m, n, B)),
             coeffs_f=rng.normal(size=(m, B)))
         for _ in range(20):
-            x, v, vn = rng.normal(size=(3, n))
-            z = np.concatenate([x, v, vn])
-            row = assemble_regressor(z, x, v, vn, 0.01, degree)
-            direct = eval_consequent(cons, z, x, v, vn, 0.01)
+            x, v, vn = rng.normal(size=(3, 1, n))
+            z = np.hstack([x, v, vn])
+            row = regressor_matrix(z, x, v, vn, 0.01, degree)[0]
+            direct = eval_consequent(cons, z[0], x[0], v[0], vn[0], 0.01)
             for i in range(m):
                 theta = np.concatenate([cons.coeffs_M[i].ravel(),
                                         cons.coeffs_C[i].ravel(),
@@ -99,8 +99,9 @@ class TestRegressor:
         X, V, VN = rng.normal(size=(3, 15, 1))
         R = regressor_matrix(Z, X, V, VN, 0.01, 1)
         for k in range(15):
-            row = assemble_regressor(Z[k], X[k], V[k], VN[k], 0.01, 1)
-            assert np.allclose(R[k], row, atol=0)
+            row = regressor_matrix(Z[k:k + 1], X[k:k + 1], V[k:k + 1],
+                                   VN[k:k + 1], 0.01, 1)
+            assert np.allclose(R[k:k + 1], row, atol=0)
 
 
 class TestRobustFit:
@@ -120,8 +121,7 @@ class TestRobustFit:
         cfg = TrainConfig(degree=0, delta=0.0)
         w = np.ones(ds.n_samples)
         cons_h, _ = robust_fit_rule(ds, w, cfg)
-        cons_inf, _ = robust_fit_rule(ds, w, config_with(cfg,
-                                                         huber_k=np.inf))
+        cons_inf, _ = robust_fit_rule(ds, w, replace(cfg, huber_k=np.inf))
         # the infinite-threshold limit IS weighted OLS
         R = regressor_matrix(ds.feature_matrix(), ds.x, ds.v, ds.v_next,
                              ds.dt, 0)
@@ -143,8 +143,7 @@ class TestRobustFit:
         cfg = TrainConfig(degree=0, delta=0.0)
         w = np.ones(ds.n_samples)
         cons_h, _ = robust_fit_rule(ds, w, cfg)
-        cons_ols, _ = robust_fit_rule(ds, w, config_with(cfg,
-                                                         huber_k=np.inf))
+        cons_ols, _ = robust_fit_rule(ds, w, replace(cfg, huber_k=np.inf))
         truth = np.array([0.0, 1.0, 2.0, 0.0])  # [M, C, K, f], beta at degree 0
         err_h = np.linalg.norm(cons_h.beta[:, 0] - truth)
         err_ols = np.linalg.norm(cons_ols.beta[:, 0] - truth)
@@ -233,13 +232,10 @@ class TestTrain:
         # the Robotic Partner motion model of acceptance criterion 6: weak
         # rules are dropped, and 15 training samples fall outside every
         # rule of the final 25-rule model
-        from it2pf.clustering import SubtractiveParams
-        from it2pf.pegsim import PegWorldConfig, record_demonstrations
-        mt, _ = record_demonstrations(PegWorldConfig(), 5, seed=0)
-        cfg = TrainConfig(degree=0, delta=0.1,
-                          subtractive=SubtractiveParams(r_a=0.35),
-                          max_cluster_points=1500, force_p=30)
-        model, report = train(mt, cfg)
+        from it2pf.pegsim import PegRunConfig, record_demonstrations
+        peg = PegRunConfig()
+        mt, _ = record_demonstrations(peg.world, peg.n_demos, seed=0)
+        model, report = train(mt, peg.train_config(TrainConfig()))
         _, degen = model.predict_batch(mt.x, mt.v, mt.v_next)
         assert (model.p, report.dropped_rules) == (25, 5)
         assert mt.n_samples == 7095
@@ -421,7 +417,7 @@ class TestFitReport:
         cfg = TrainConfig(degree=1, delta=0.2, force_p=2)
         _, rep = train(ds, cfg)
         assert rep.irls_capped == [False, False]
-        _, rep = train(ds, config_with(cfg, irls_max_iter=1))
+        _, rep = train(ds, replace(cfg, irls_max_iter=1))
         assert rep.irls_capped == [True, True]
         assert rep.rule_iterations == [1, 1]
 
@@ -454,7 +450,7 @@ class TestFitReport:
     def test_clusters_can_be_passed_in(self):
         ds = _linear_dataset(1.0, 0.5, noise=0.05, seed=2)
         cfg = TrainConfig(degree=1, delta=0.2, force_p=2)
-        shared = cluster_rules(ds, config_with(cfg, degree=0, delta=0.0))
+        shared = cluster_rules(ds, replace(cfg, degree=0, delta=0.0))
         m1, _ = train(ds, cfg)
         m2, _ = train(ds, cfg, shared)
         assert _same_model(m1, m2)
@@ -491,7 +487,7 @@ class TestInitialCenters:
         assert np.array_equal(idx, ref)
         # subtractive alone picks few of the 25
         sub_only, _ = identify._initial_centers(
-            points, hyper, config_with(cfg, force_p=None))
+            points, hyper, replace(cfg, force_p=None))
         assert len(sub_only) < 10
 
     def test_cut_keeps_subtractive_order(self):
@@ -500,5 +496,5 @@ class TestInitialCenters:
         cfg = TrainConfig()
         every, p = identify._initial_centers(points, points, cfg)
         cut, q = identify._initial_centers(points, points,
-                                           config_with(cfg, force_p=2))
+                                           replace(cfg, force_p=2))
         assert p > 2 and q == 2 and np.array_equal(cut, every[:2])

@@ -568,6 +568,25 @@ class TestCLI:
                      "--out", out2]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
+    def test_learning_curve_output_is_pinned(self, tmp_path):
+        # the golden was written by the learning curve's own fit loop
+        # (commit 6e5aeac); its 0.1 cells train on 80 samples for 100
+        # coefficients and fail
+        ini = tmp_path / "curve.ini"
+        ini.write_text(
+            "[seeds]\nmaster = 0\n"
+            "[train]\ndegree = 1\ndelta = 0.2\nforce_p = 2\n"
+            "[protocol]\ntrials_per_level = 2\n"
+            "grid = 2 2 0.04 0.16 0.04 0.16\n"
+            "press_duration = 0.3\nhold_duration = 0.2\n"
+            "[benchmark]\nfractions = 0.1 0.35 0.67\ncurve_seeds = 3\n")
+        data, out = str(tmp_path / "env.csv"), tmp_path / "curve.csv"
+        assert main(["gen-env", "--config", str(ini), "--out", data]) == 0
+        assert main(["learning-curve", "--config", str(ini), "--data", data,
+                     "--out", str(out)]) == 0
+        with open(os.path.join(DATA, "learning_curve_v1.csv"), "rb") as fh:
+            assert out.read_bytes() == fh.read()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[train]\ndegree = 1\n")

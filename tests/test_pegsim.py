@@ -1,10 +1,12 @@
 """Peg-transfer world: kinematics, grasp logic, scripts, the RP controller."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from it2pf.clustering import SubtractiveParams
 from it2pf.core import (
     Channel,
     IT2Gaussian,
@@ -14,19 +16,22 @@ from it2pf.core import (
     PolynomialConsequent,
     RulePremise,
     TypeReductionConfig,
+    materialize_ticks,
 )
+from it2pf.identify import TrainConfig
 from it2pf.pegsim import (
     BlockState,
     DemonstrationError,
     OperatorHistory,
     OperatorScript,
+    PegRunConfig,
     PegWorld,
     PegWorldConfig,
     RPController,
     ScriptController,
     build_scripts,
     demonstration_ticks,
-    record_demonstration,
+    episode_seed,
     record_demonstrations,
     run_episode,
 )
@@ -55,6 +60,24 @@ class TestConfigAndScripts:
             PegWorldConfig(target_peg=99)
         with pytest.raises(ParameterError):
             PegWorldConfig(dt=0.0)
+
+    def test_partner_recipe_sets_only_its_fields(self):
+        base = TrainConfig(degree=2, huber_k=2.0, irls_max_iter=7,
+                           max_cluster_points=900)
+        cfg = PegRunConfig(rp_degree=1, rp_delta=0.3, rp_r_a=0.4,
+                           rp_max_cluster_points=700, rp_force_p=12,
+                           rp_width_scale=1.5).train_config(base)
+        assert (cfg.degree, cfg.delta, cfg.subtractive, cfg.force_p,
+                cfg.max_cluster_points, cfg.width_scale) == \
+            (1, 0.3, SubtractiveParams(r_a=0.4), 12, 700, 1.5)
+        assert replace(cfg, degree=2, delta=base.delta,
+                       subtractive=base.subtractive, force_p=None,
+                       max_cluster_points=900, width_scale=1.0) == base
+
+    def test_episode_seeds_of_run_peg(self):
+        # the seeds in the episodes CSV of run-peg at master seed 3
+        assert [episode_seed(3, e) for e in range(3)] == \
+            [23757, 23758, 23759]
 
     def test_peg_grid_layout(self):
         cfg = PegWorldConfig(peg_spacing=0.06, peg_rows=2, peg_cols=3)
@@ -194,7 +217,9 @@ class TestScriptedEpisodes:
     def test_demonstration_channels(self):
         cfg = PegWorldConfig()
         left, right = build_scripts(cfg, seed=0)
-        mt, ga = record_demonstration(cfg, left, right)
+        mt_ticks, ga_ticks = demonstration_ticks(cfg, left, right)
+        mt = materialize_ticks(Channel.MOTION, cfg.dt, *mt_ticks)
+        ga = materialize_ticks(Channel.GESTURE, cfg.dt, *ga_ticks)
         assert mt.channel is Channel.MOTION and mt.n == 3 and mt.m == 3
         assert ga.channel is Channel.GESTURE and ga.n == 1 and ga.m == 1
         assert mt.n_samples == ga.n_samples

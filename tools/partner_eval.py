@@ -4,7 +4,8 @@ Trains criterion 6's two partner models (5 demonstrations, seed 0, whose
 scripts use episode seeds 0-4) and runs closed-loop episodes:
 
 * the 306 episodes of the peg-episodes benchmark workload: workload seeds
-  0-99, 207 and 303, three episodes each, episode seed 7919*seed + k;
+  0-99, 207 and 303, three episodes k each, seeded as run-peg seeds them:
+  pegsim.episode_seed(workload seed, k);
 * episode seeds 5-104, whose scripts are disjoint from the demonstrations';
 * criterion 6's window, episode seeds 0-19, and the next one, 20-39.
 
@@ -30,11 +31,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 import numpy as np  # noqa: E402
 
 from it2pf import identify, pegsim  # noqa: E402
-from it2pf.clustering import SubtractiveParams  # noqa: E402
 
-RP_CONFIG = identify.TrainConfig(degree=0, delta=0.1,
-                                 subtractive=SubtractiveParams(r_a=0.35),
-                                 max_cluster_points=1500, force_p=30)
+RP = pegsim.PegRunConfig()  # criterion 6's world, demonstrations and recipe
 WORKLOAD_SEEDS = list(range(100)) + [207, 303]
 DISJOINT = range(5, 105)
 WINDOWS = (range(0, 20), range(20, 40))
@@ -42,17 +40,18 @@ WINDOWS = (range(0, 20), range(20, 40))
 
 def main():
     t0 = time.perf_counter()
-    world = pegsim.PegWorldConfig()
-    mt, ga = pegsim.record_demonstrations(world, 5, seed=0)
+    world = RP.world
+    mt, ga = pegsim.record_demonstrations(world, RP.n_demos, seed=0)
+    config = RP.train_config(identify.TrainConfig())
     models = []
     for name, data in (("motion", mt), ("gripper", ga)):
-        model, rep = identify.train(data, RP_CONFIG)
+        model, rep = identify.train(data, config)
         models.append(model)
         print(f"{name}: {model.p} rules ({rep.dropped_rules} dropped), "
               f"IRLS iterations {sum(rep.rule_iterations)}, "
               f"capped {sum(rep.irls_capped)}, SVD steps "
               f"{sum(rep.svd_steps)}")
-    controller = pegsim.RPController(*models, tau=0.03)
+    controller = pegsim.RPController(*models, tau=RP.tau)
     outcomes = {}
 
     def episode(seed):
@@ -63,8 +62,8 @@ def main():
             outcomes[seed] = (clean, rep.phase, rep.completion_time)
         return outcomes[seed]
 
-    workload = [(s, k, episode(7919 * s + k)) for s in WORKLOAD_SEEDS
-                for k in range(3)]
+    workload = [(s, k, episode(pegsim.episode_seed(s, k)))
+                for s in WORKLOAD_SEEDS for k in range(3)]
     misses = [(s, k, phase) for s, k, (clean, phase, _) in workload
               if not clean]
     print(f"workload episodes: {3 * len(WORKLOAD_SEEDS) - len(misses)}/"
