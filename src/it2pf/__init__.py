@@ -2,11 +2,10 @@
 
 from .core import (BasisConsequent, Channel, Dataset, FiringInterval,
                    FuzzyModelError, InputDomainError, IT2Gaussian, IT2PFModel,
-                   Normalization, ParameterError, PolynomialConsequent,
-                   RulePremise, ShapeError, StructuralError, TrainingError,
-                   TypeReductionConfig, eval_consequent, eval_membership,
-                   firing_interval, materialize_ticks, regressor_matrix,
-                   type_reduce)
+                   Normalization, ParameterError, RulePremise, ShapeError,
+                   StructuralError, TrainingError, TypeReductionConfig,
+                   eval_membership, firing_interval, materialize_ticks,
+                   regressor_matrix, type_reduce)
 from .clustering import (ClusterResult, SubtractiveParams, build_premises,
                          fcm_refine, subtractive_cluster)
 from .identify import (FitReport, TrainConfig, cluster_rules,

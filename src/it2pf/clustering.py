@@ -15,17 +15,15 @@ class SubtractiveParams:
     """Density-potential clustering parameters (points in the unit hypercube)."""
 
     r_a: float = 0.5
-    r_b: float = None
+    r_b: float = None            # None: 1.5 * r_a
     accept_ratio: float = 0.5
     reject_ratio: float = 0.15
 
     def __post_init__(self):
         if self.r_a <= 0:
             raise ParameterError("r_a must be > 0")
-        r_b = 1.5 * self.r_a if self.r_b is None else self.r_b
-        if r_b < self.r_a:
+        if self.r_b is not None and self.r_b < self.r_a:
             raise ParameterError("r_b must be >= r_a")
-        object.__setattr__(self, "r_b", r_b)
         if not (0 < self.reject_ratio < self.accept_ratio <= 1):
             raise ParameterError("need 0 < reject_ratio < accept_ratio <= 1")
 
@@ -87,7 +85,8 @@ def subtractive_cluster(points, params: SubtractiveParams) -> list[int]:
         raise StructuralError("subtractive clustering needs at least one point")
     _check_finite(points, "points")
     alpha = 4.0 / params.r_a ** 2
-    beta = 4.0 / params.r_b ** 2
+    r_b = 1.5 * params.r_a if params.r_b is None else params.r_b
+    beta = 4.0 / r_b ** 2
     P = _chunked_potentials(points, alpha)
 
     centers: list[int] = []

@@ -369,62 +369,14 @@ def type_reduce_batch(lower, upper, cfg, epsilon_floor=1e-12):
 # Polynomial consequents
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolynomialConsequent:
-    """Coefficient tensors of one rule's output map.
-
-    coeffs_M/C/K have shape (m, n, B) and coeffs_f (m, B), where B is the
-    full monomial basis size of the 3n-dimensional feature vector.
-    """
-
-    degree: int
-    coeffs_M: np.ndarray
-    coeffs_C: np.ndarray
-    coeffs_K: np.ndarray
-    coeffs_f: np.ndarray
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ParameterError("degree must be >= 0")
-        if np.ndim(self.coeffs_M) != 3:
-            raise ShapeError("coeffs_M must have shape (m, n, B)")
-        m, n, B = np.shape(self.coeffs_M)
-        if B != basis_size(3 * n, self.degree):
-            raise ShapeError(
-                f"basis size {B} inconsistent with n={n}, degree={self.degree}")
-        for name, want in (("coeffs_M", (m, n, B)), ("coeffs_C", (m, n, B)),
-                           ("coeffs_K", (m, n, B)), ("coeffs_f", (m, B))):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.shape != want:
-                raise ShapeError(f"{name} must have shape {want}, got {arr.shape}")
-            _check_finite(arr, name)
-            _freeze(self, name, arr)
-
-    @property
-    def n(self) -> int:
-        return self.coeffs_M.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.coeffs_M.shape[0]
-
-    @property
-    def theta(self) -> np.ndarray:
-        """Coefficients as (R, m) columns in regressor_matrix's layout."""
-        m = self.m
-        return np.hstack([self.coeffs_M.reshape(m, -1),
-                          self.coeffs_C.reshape(m, -1),
-                          self.coeffs_K.reshape(m, -1), self.coeffs_f]).T
-
-
 def regressor_matrix(Z, X, V, VN, dt, degree) -> np.ndarray:
     """Rows of the consequent map at N samples, shape (N, (3n+1)*B).
 
     Z is the normalized feature matrix and a = (VN - V)/dt.  Columns are
     [M, C, K, f]: the first three blocks hold a_j, v_j, x_j times the
     basis, each in (n, B) row-major order, and the last holds the basis.
-    A coefficient matrix theta in this layout gives y = R @ theta; training
-    solves for it, inference evaluates it.
+    A coefficient matrix theta in this layout, such as the M, C, K, f of a
+    v1 model file, gives y = R @ theta.
     """
     if dt <= 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
@@ -456,13 +408,6 @@ def eval_consequent_batch(beta, Z, X, V, VN, dt, degree):
     return consequent_basis(Z, X, V, VN, dt, degree) @ beta
 
 
-def eval_consequent(cons: PolynomialConsequent, z, x, v, v_next, dt) -> np.ndarray:
-    """Evaluate one paper-form consequent at normalized features z."""
-    rows = [_vec(a, name)[None, :] for name, a in
-            (("z", z), ("x", x), ("v", v), ("v_next", v_next))]
-    return (regressor_matrix(*rows, dt, cons.degree) @ cons.theta)[0]
-
-
 @dataclass(frozen=True)
 class BasisConsequent:
     """One rule's consequent as stored: beta (q, m), its coefficients on
@@ -483,24 +428,6 @@ class BasisConsequent:
     @property
     def m(self) -> int:
         return self.beta.shape[1]
-
-
-def _paper_to_beta(conses, norm, dt):
-    """beta = T theta of paper-form consequents, one (q, m) block each, for
-    features normalized by norm.  T is the regressor regressed on Phi at
-    fixed points, exactly as it lies in Phi's span; at degree 0 it is I."""
-    theta = np.hstack([cons.theta for cons in conses])
-    degree = conses[0].degree
-    if degree > 0:
-        n3 = norm.mean.shape[0]
-        Zn = np.random.default_rng(0).standard_normal(
-            (2 * basis_size(n3, degree + 1), n3))
-        rows = (Zn, *np.split(Zn * norm.scale + norm.mean, 3, axis=1), dt,
-                degree)
-        T = np.linalg.lstsq(consequent_basis(*rows), regressor_matrix(*rows),
-                            rcond=None)[0]
-        theta = T @ theta
-    return np.split(theta, len(conses), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -553,26 +480,16 @@ class IT2PFModel:
         if self.epsilon_floor <= 0:
             raise ParameterError("epsilon_floor must be > 0")
         n3, m, deg = self.norm.mean.shape[0], rules[0][1].m, rules[0][1].degree
+        q = basis_size(n3, deg + 1)
         for prem, cons in rules:
             if (cons.m, cons.degree) != (m, deg):
                 raise ShapeError("all rules must share (m, degree)")
             if prem.n_inputs != n3 or n3 % 3:
                 raise ShapeError(
                     "premise and normalization dimensions must equal 3n")
-        # a paper-form consequent (built by hand, or read from a v1 file) is
-        # mapped to beta once, by this model's normalization and dt
-        paper = [cons for _, cons in rules
-                 if isinstance(cons, PolynomialConsequent)]
-        if any(3 * cons.n != n3 for cons in paper):
-            raise ShapeError("consequent dimension must equal 3n")
-        betas = iter(_paper_to_beta(paper, self.norm, self.dt) if paper else ())
-        rules = tuple((prem, BasisConsequent(deg, next(betas))
-                       if isinstance(cons, PolynomialConsequent) else cons)
-                      for prem, cons in rules)
-        q = basis_size(n3, deg + 1)
-        if any(cons.beta.shape[0] != q for _, cons in rules):
-            raise ShapeError(f"beta must have {q} rows at n={n3 // 3}, "
-                             f"degree={deg}")
+            if cons.beta.shape[0] != q:
+                raise ShapeError(f"beta must have {q} rows at n={n3 // 3}, "
+                                 f"degree={deg}")
         object.__setattr__(self, "rules", rules)
         # inference tensors, stacked once: premise tables (p, 3n) and every
         # rule's beta side by side, theta (q, p*m)

@@ -47,6 +47,16 @@ class TrainConfig:
             raise ParameterError("huber_k must be > 0")
         if self.irls_tol <= 0 or self.fcm_tol <= 0:
             raise ParameterError("tolerances must be > 0")
+        if self.irls_max_iter < 0 or self.fcm_max_iter < 0:
+            raise ParameterError("iteration caps must be >= 0")
+        if self.max_cluster_points < 1:
+            raise ParameterError("max_cluster_points must be >= 1")
+        if self.width_floor <= 0 or self.width_scale <= 0:
+            raise ParameterError("width_floor and width_scale must be > 0")
+        if self.epsilon_floor <= 0:
+            raise ParameterError("epsilon_floor must be > 0")
+        if self.force_p is not None and self.force_p < 1:
+            raise ParameterError("force_p must be >= 1")
 
 
 @dataclass
@@ -119,13 +129,14 @@ def _weighted_lstsq(phi, target, w, scaled=None):
 
 
 def robust_fit_rule(dataset: Dataset, rule_weights, config: TrainConfig,
-                    norm: Normalization = None, phi=None, gram=False):
+                    norm: Normalization = None, phi=None):
     """Fit one rule's beta by weighted Huber IRLS on Phi.
 
     rule_weights are the per-sample type-reduced weights of this rule.
     phi is consequent_basis at the samples, built here, with z standardized
     by norm (identity when omitted), unless given.  Each step is
-    _weighted_lstsq's Gram step with gram=True, and its SVD step otherwise.
+    _weighted_lstsq's Gram step, retried by its SVD step when the Gram step
+    fails, breaks its bound or raises the Huber objective.
     Returns (BasisConsequent, {FitReport list: this rule's entry}).
     """
     w = np.asarray(rule_weights, dtype=float)
@@ -148,7 +159,7 @@ def robust_fit_rule(dataset: Dataset, rule_weights, config: TrainConfig,
             f"effective sample count {eff:.1f} below coefficient count {R}")
 
     m = dataset.m
-    scaled = _column_scaled(phi) if gram else None
+    scaled = _column_scaled(phi)
     beta_cols = np.empty((phi.shape[1], m))
     iters_used, svd_steps, deficient, capped = 0, 0, 0, False
     conds = []
@@ -203,7 +214,7 @@ def robust_fit_rule(dataset: Dataset, rule_weights, config: TrainConfig,
 
 
 def _subsample_indices(N, cap):
-    if cap is None or N <= cap:
+    if N <= cap:
         return np.arange(N)
     return np.unique(np.linspace(0, N - 1, cap).astype(int))
 
@@ -211,8 +222,6 @@ def _subsample_indices(N, cap):
 def _initial_centers(points_std, hyper, config):
     """Pick rule centers; returns indices into the full point set."""
     p = config.force_p
-    if p is not None and p < 1:
-        raise ParameterError("force_p must be >= 1")
     sub = _subsample_indices(points_std.shape[0], config.max_cluster_points)
     idx = list(sub[subtractive_cluster(hyper[sub], config.subtractive)])
     if p is None:
@@ -252,8 +261,6 @@ def cluster_rules(dataset: Dataset, config: TrainConfig):
     result = fcm_refine(points, p, points[center_idx], config.fcm_fuzzifier,
                         config.fcm_tol, config.fcm_max_iter,
                         config.width_floor)
-    if config.width_scale <= 0:
-        raise ParameterError("width_scale must be > 0")
     if config.width_scale != 1.0:
         result = replace(result, widths=result.widths * config.width_scale)
     return norm, result
@@ -299,8 +306,7 @@ def train(dataset: Dataset, config: TrainConfig, clusters=None):
     rules = []
     for l, prem in enumerate(premises):
         try:
-            cons, rrep = robust_fit_rule(dataset, W[:, l], config, norm, phi,
-                                         gram=True)
+            cons, rrep = robust_fit_rule(dataset, W[:, l], config, norm, phi)
         except TrainingError as exc:
             raise TrainingError(f"rule {l}: {exc}") from exc
         rules.append((prem, cons))

@@ -19,9 +19,9 @@ import numpy as np
 from .baselines import LKVModel
 from .bench import MODEL_NAMES, Split
 from .core import (BasisConsequent, Channel, Dataset, FuzzyModelError,
-                   IT2Gaussian, IT2PFModel, Normalization,
-                   PolynomialConsequent, RulePremise, TypeReductionConfig,
-                   _tick_arrays, materialize_ticks)
+                   IT2Gaussian, IT2PFModel, Normalization, RulePremise,
+                   TypeReductionConfig, _tick_arrays, basis_size,
+                   consequent_basis, materialize_ticks, regressor_matrix)
 from .envsim import (GaussianBump, PressProtocol, SiliconeEnv, _grid,
                      default_env)
 from .identify import TrainConfig
@@ -125,6 +125,8 @@ def read_dataset_ticks(path):
             m = int(meta["m"])
         except (KeyError, ValueError) as exc:
             raise FormatError(f"{path}: bad metadata header: {exc}") from exc
+        if n < 1 or m < 1:
+            raise FormatError(f"{path}: header needs n >= 1 and m >= 1")
         colhdr = fh.readline().rstrip("\n")
         want = 2 + 2 * n + m
         if len(colhdr.split(",")) != want:
@@ -203,6 +205,37 @@ def _field(doc, key, path):
         raise FormatError(f"{path}: missing field {key!r}") from exc
 
 
+def _v1_theta(rule, degree, norm, path):
+    """A v1 rule's coeffs_M/C/K (m, n, B) and coeffs_f (m, B), checked
+    against the degree and the n of z's normalization norm, as theta (R, m)
+    in regressor_matrix's layout."""
+    n = len(norm.mean) // 3
+    M, C, K, f = (np.array(_field(rule, key, path), dtype=float) for key in
+                  ("coeffs_M", "coeffs_C", "coeffs_K", "coeffs_f"))
+    m, B = (len(f) if f.ndim else 0), basis_size(3 * n, degree)
+    if f.shape != (m, B) or any(a.shape != (m, n, B) for a in (M, C, K)):
+        raise FormatError(f"{path}: v1 coefficients must have shapes "
+                          f"(m, {n}, {B}) and (m, {B}) at degree {degree}")
+    return np.hstack([a.reshape(m, -1) for a in (M, C, K, f)]).T
+
+
+def _v1_betas(thetas, norm, dt, degree):
+    """beta = T theta of v1 rules' thetas, one (q, m) block each.  T is the
+    regressor regressed on Phi at fixed points, exactly as it lies in Phi's
+    span; at degree 0 it is I."""
+    theta = np.hstack(thetas)
+    if degree > 0:
+        n3 = norm.mean.shape[0]
+        Zn = np.random.default_rng(0).standard_normal(
+            (2 * basis_size(n3, degree + 1), n3))
+        rows = (Zn, *np.split(Zn * norm.scale + norm.mean, 3, axis=1), dt,
+                degree)
+        T = np.linalg.lstsq(consequent_basis(*rows), regressor_matrix(*rows),
+                            rcond=None)[0]
+        theta = T @ theta
+    return np.split(theta, len(thetas), axis=1)
+
+
 def load_model(path):
     try:
         with open(path) as fh:
@@ -222,26 +255,26 @@ def load_model(path):
     try:
         tr = _field(doc, "tr_config", path)
         norm = _field(doc, "norm", path)
-        rules = []
+        norm = Normalization(
+            np.array(_field(norm, "mean", path), dtype=float),
+            np.array(_field(norm, "scale", path), dtype=float))
+        dt = float(_field(doc, "dt", path))
+        premises, degrees, coeffs = [], [], []
         for r in _field(doc, "rules", path):
-            sets = tuple(IT2Gaussian(c, s, d) for c, s, d in
-                         zip(_field(r, "centers", path),
-                             _field(r, "sigmas", path),
-                             _field(r, "deltas", path)))
-            degree = int(_field(r, "degree", path))
-            if fmt == MODEL_FORMAT:
-                cons = BasisConsequent(degree, _field(r, "beta", path))
-            else:  # the paper form, which IT2PFModel maps to beta
-                cons = PolynomialConsequent(degree, *(
-                    _field(r, key, path) for key in
-                    ("coeffs_M", "coeffs_C", "coeffs_K", "coeffs_f")))
-            rules.append((RulePremise(sets), cons))
+            premises.append(RulePremise(tuple(
+                IT2Gaussian(c, s, d) for c, s, d in
+                zip(_field(r, "centers", path), _field(r, "sigmas", path),
+                    _field(r, "deltas", path)))))
+            degrees.append(int(_field(r, "degree", path)))
+            coeffs.append(_field(r, "beta", path) if fmt == MODEL_FORMAT
+                          else _v1_theta(r, degrees[-1], norm, path))
+        if fmt == MODEL_FORMAT_V1 and coeffs:  # all rules' thetas to beta
+            coeffs = _v1_betas(coeffs, norm, dt, degrees[0])
         return IT2PFModel(
-            Channel(_field(doc, "channel", path)),
-            float(_field(doc, "dt", path)),
-            tuple(rules),
-            Normalization(np.array(_field(norm, "mean", path), dtype=float),
-                          np.array(_field(norm, "scale", path), dtype=float)),
+            Channel(_field(doc, "channel", path)), dt,
+            tuple((prem, BasisConsequent(degree, beta)) for prem, degree, beta
+                  in zip(premises, degrees, coeffs)),
+            norm,
             TypeReductionConfig(float(_field(tr, "b_lower", path)),
                                 float(_field(tr, "b_upper", path))),
             float(_field(doc, "epsilon_floor", path)),

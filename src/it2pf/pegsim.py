@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .clustering import SubtractiveParams
 from .core import (Channel, FuzzyModelError, IT2PFModel, ParameterError,
                    materialize_ticks)
 from .envsim import _minjerk
@@ -542,7 +541,7 @@ class PegRunConfig:
     def train_config(self, base):
         """The TrainConfig base with the Robotic Partner's settings."""
         return replace(base, degree=self.rp_degree, delta=self.rp_delta,
-                       subtractive=SubtractiveParams(r_a=self.rp_r_a),
+                       subtractive=replace(base.subtractive, r_a=self.rp_r_a),
                        max_cluster_points=self.rp_max_cluster_points,
                        force_p=self.rp_force_p,
                        width_scale=self.rp_width_scale)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from it2pf import core
+from it2pf import core, modelio
 from it2pf.core import (
+    BasisConsequent,
     Channel,
     Dataset,
     FiringInterval,
@@ -17,13 +18,11 @@ from it2pf.core import (
     InputDomainError,
     Normalization,
     ParameterError,
-    PolynomialConsequent,
     RulePremise,
     ShapeError,
     StructuralError,
     TypeReductionConfig,
     basis_size,
-    eval_consequent,
     eval_membership,
     firing_interval,
     materialize_ticks,
@@ -238,47 +237,36 @@ class TestBasis:
             assert np.max(np.abs(phi @ T - raw)) <= 1e-9 * np.max(np.abs(raw))
 
 
+def _one_rule_model(degree, beta, mean):
+    """One rule, wide enough to take all the weight, with consequent beta
+    (q, m) over z = [x, v, v_next] - mean."""
+    prem = RulePremise(tuple(IT2Gaussian(0.0, 100.0, 0.1) for _ in mean))
+    return IT2PFModel(Channel.ENVIRONMENT, 0.01,
+                      [(prem, BasisConsequent(degree, beta))],
+                      Normalization(mean, np.ones(len(mean))))
+
+
 class TestConsequent:
     def test_all_zero(self):
-        B = basis_size(6, 1)
-        c = PolynomialConsequent(1, np.zeros((1, 2, B)), np.zeros((1, 2, B)),
-                                 np.zeros((1, 2, B)), np.zeros((1, B)))
-        y = eval_consequent(c, np.zeros(6), np.ones(2), np.ones(2),
-                            np.ones(2), dt=0.01)
+        model = _one_rule_model(0, np.zeros((7, 1)), np.zeros(6))
+        y, _ = model.predict(np.ones(2), np.ones(2), np.ones(2))
         assert np.all(y == 0.0)
 
     def test_degree0_scalar_arithmetic(self):
-        # M=0, C=2, K=3, f=1, x=1, v=0.5, v_next=v -> y = 2*0.5 + 3*1 + 1 = 5
-        c = PolynomialConsequent(
-            degree=0,
-            coeffs_M=np.zeros((1, 1, 1)),
-            coeffs_C=np.full((1, 1, 1), 2.0),
-            coeffs_K=np.full((1, 1, 1), 3.0),
-            coeffs_f=np.ones((1, 1)))
-        y = eval_consequent(c, np.zeros(3), np.array([1.0]), np.array([0.5]),
-                            np.array([0.5]), dt=0.01)
+        # beta = [M, C, K, f] = [0, 2, 3, 1], x=1, v=0.5, v_next=v
+        # -> y = 2*0.5 + 3*1 + 1 = 5
+        model = _one_rule_model(0, [[0.0], [2.0], [3.0], [1.0]], np.zeros(3))
+        y, _ = model.predict([1.0], [0.5], [0.5])
         assert y[0] == pytest.approx(5.0, abs=1e-15)
 
     def test_degree1_single_monomial(self):
-        # K(z) = z1, x = 2, z1 = 0.3, all else zero -> y = 0.6
-        B = basis_size(3, 1)
-        K = np.zeros((1, 1, B))
-        K[0, 0, 1] = 1.0  # coefficient on z1
-        c = PolynomialConsequent(
-            degree=1, coeffs_M=np.zeros((1, 1, B)),
-            coeffs_C=np.zeros((1, 1, B)), coeffs_K=K,
-            coeffs_f=np.zeros((1, B)))
-        z = np.array([0.3, 0.0, 0.0])
-        y = eval_consequent(c, z, np.array([2.0]), np.array([0.0]),
-                            np.array([0.0]), dt=0.01)
+        # K(z) = z1, x = 2, z1 = x - 1.7 = 0.3, all else zero -> y = 0.6;
+        # on Phi = [1, z1, z2, z3, z1^2, ...], K(z) x = z1^2 + 1.7 z1
+        beta = np.zeros((basis_size(3, 2), 1))
+        beta[[1, 4], 0] = 1.7, 1.0
+        model = _one_rule_model(1, beta, np.array([1.7, 0.0, 0.0]))
+        y, _ = model.predict([2.0], [0.0], [0.0])
         assert y[0] == pytest.approx(0.6, abs=1e-15)
-
-    def test_shape_validation(self):
-        with pytest.raises(ShapeError):
-            PolynomialConsequent(
-                degree=1, coeffs_M=np.zeros((1, 1, 3)),
-                coeffs_C=np.zeros((1, 1, 4)), coeffs_K=np.zeros((1, 1, 4)),
-                coeffs_f=np.zeros((1, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +274,13 @@ class TestConsequent:
 # ---------------------------------------------------------------------------
 
 def _const_model(centers, values, delta=0.2, sigma=1.0):
-    """One-dim model, constant consequents (degree 0, M=C=K=0, f=value)."""
+    """One-dim model, constant consequents (degree 0, beta = [M, C, K, f]
+    = [0, 0, 0, value])."""
     rules = []
     for c, val in zip(centers, values):
         prem = RulePremise(tuple(IT2Gaussian(c, sigma, delta)
                                  for _ in range(3)))
-        cons = PolynomialConsequent(
-            degree=0, coeffs_M=np.zeros((1, 1, 1)),
-            coeffs_C=np.zeros((1, 1, 1)), coeffs_K=np.zeros((1, 1, 1)),
-            coeffs_f=np.full((1, 1), float(val)))
+        cons = BasisConsequent(0, [[0.0], [0.0], [0.0], [float(val)]])
         rules.append((prem, cons))
     norm = Normalization(np.zeros(3), np.ones(3))
     return IT2PFModel(channel=Channel.ENVIRONMENT, dt=0.01, rules=rules,
@@ -350,28 +336,34 @@ def _exponents(k, degree):
 
 
 def _random_model(rng, n, m, p, degree):
-    """(model, its paper-form consequents): random premises, coefficients,
-    normalization and b weights."""
+    """(model, its rules' paper-form coefficients): random premises,
+    coefficients coeffs_M/C/K/f as a v1 model file holds them, mapped to
+    beta by the v1 reader, normalization and b weights."""
     B = basis_size(3 * n, degree)
-    rules = []
+    premises, paper = [], []
     for _ in range(p):
-        prem = RulePremise(tuple(
+        premises.append(RulePremise(tuple(
             IT2Gaussian(float(rng.normal()), float(rng.uniform(0.5, 2.0)),
                         float(rng.uniform(0.0, 0.5)))
-            for _ in range(3 * n)))
-        cons = PolynomialConsequent(degree, *rng.normal(size=(3, m, n, B)),
-                                    rng.normal(size=(m, B)))
-        rules.append((prem, cons))
+            for _ in range(3 * n))))
+        M, C, K = rng.normal(size=(3, m, n, B))
+        paper.append({"coeffs_M": M, "coeffs_C": C, "coeffs_K": K,
+                      "coeffs_f": rng.normal(size=(m, B))})
     norm = Normalization(rng.normal(size=3 * n), rng.uniform(0.5, 2.0, 3 * n))
     b = float(rng.uniform())
-    model = IT2PFModel(Channel.ENVIRONMENT, 0.01, rules, norm,
+    thetas = [modelio._v1_theta(rule, degree, norm, "<random>")
+              for rule in paper]
+    betas = modelio._v1_betas(thetas, norm, 0.01, degree)
+    model = IT2PFModel(Channel.ENVIRONMENT, 0.01,
+                       [(prem, BasisConsequent(degree, beta))
+                        for prem, beta in zip(premises, betas)], norm,
                        TypeReductionConfig(b, 1.0 - b))
-    return model, [cons for _, cons in rules]
+    return model, paper
 
 
 def _reference_predict(model, conses, x, v, v_next):
     """Per-rule evaluation of the module-docstring formula at one row, with
-    the rules' paper-form consequents conses.
+    the rules' paper-form coefficients conses (coeffs_M/C/K/f each).
 
     Returns (y, magnitude, degenerate); magnitude is the blended sum of the
     absolute values of every consequent term, the scale of y's roundoff.
@@ -391,9 +383,9 @@ def _reference_predict(model, conses, x, v, v_next):
                            / (2 * (s.sigma * (1 + s.delta)) ** 2))
         omegas.append(b_lo * lo + b_up * up)
         terms = np.concatenate([
-            ((cons.coeffs_M * a[:, None] + cons.coeffs_C * v[:, None]
-              + cons.coeffs_K * x[:, None]) * phi).reshape(model.m, -1),
-            cons.coeffs_f * phi], axis=1)
+            ((cons["coeffs_M"] * a[:, None] + cons["coeffs_C"] * v[:, None]
+              + cons["coeffs_K"] * x[:, None]) * phi).reshape(model.m, -1),
+            cons["coeffs_f"] * phi], axis=1)
         outputs.append(terms.sum(axis=1))
         mags.append(np.abs(terms).sum(axis=1))
     total = sum(omegas)

@@ -12,10 +12,10 @@ from it2pf.core import (
     Channel,
     Dataset,
     Normalization,
+    ParameterError,
     TrainingError,
     basis_size,
     consequent_basis,
-    eval_consequent,
     materialize_ticks,
 )
 from it2pf.envsim import PressProtocol, default_env, generate_benchmark
@@ -67,31 +67,6 @@ class TestRegressor:
     def test_degree1_row_length(self):
         R = regressor_matrix(np.zeros((1, 3)), *np.ones((3, 1, 1)), 0.01, 1)
         assert R.shape == (1, 16)
-
-    def test_row_theta_duality(self):
-        # row @ theta must reproduce eval_consequent for random coefficients
-        rng = np.random.default_rng(11)
-        n, m, degree = 2, 2, 2
-        from it2pf.core import basis_size, PolynomialConsequent
-        B = basis_size(3 * n, degree)
-        cons = PolynomialConsequent(
-            degree=degree,
-            coeffs_M=rng.normal(size=(m, n, B)),
-            coeffs_C=rng.normal(size=(m, n, B)),
-            coeffs_K=rng.normal(size=(m, n, B)),
-            coeffs_f=rng.normal(size=(m, B)))
-        for _ in range(20):
-            x, v, vn = rng.normal(size=(3, 1, n))
-            z = np.hstack([x, v, vn])
-            row = regressor_matrix(z, x, v, vn, 0.01, degree)[0]
-            direct = eval_consequent(cons, z[0], x[0], v[0], vn[0], 0.01)
-            for i in range(m):
-                theta = np.concatenate([cons.coeffs_M[i].ravel(),
-                                        cons.coeffs_C[i].ravel(),
-                                        cons.coeffs_K[i].ravel(),
-                                        cons.coeffs_f[i]])
-                assert row @ theta == pytest.approx(direct[i], rel=1e-12,
-                                                    abs=1e-12)
 
     def test_matrix_matches_rows(self):
         rng = np.random.default_rng(2)
@@ -288,6 +263,21 @@ def press_split():
     return split_trials(ds, Split(0.10, 0))
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("irls_max_iter", -3), ("fcm_max_iter", -1),
+        ("max_cluster_points", 0), ("width_floor", 0.0),
+        ("width_floor", -1.0), ("width_scale", 0.0), ("epsilon_floor", 0.0),
+        ("force_p", 0)])
+    def test_bad_value_is_rejected_when_built(self, field, value):
+        with pytest.raises(ParameterError):
+            TrainConfig(**{field: value})
+
+    def test_smallest_good_values_are_accepted(self):
+        TrainConfig(irls_max_iter=0, fcm_max_iter=0, max_cluster_points=1,
+                    force_p=1)
+
+
 class TestGramStep:
     @given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2),
            st.integers(0, 2 ** 31 - 1))
@@ -342,12 +332,9 @@ class TestGramStep:
         cfg = TrainConfig(degree=1, delta=0.1)
         norm, phi = _rule_fit_args(ds, cfg)
         w = np.random.default_rng(1).uniform(0.2, 1.0, ds.n_samples)
-        cons_g, rep_g = robust_fit_rule(ds, w, cfg, norm, phi, gram=True)
-        cons_s, rep_s = robust_fit_rule(ds, w, cfg, norm, phi)
-        assert np.array_equal(cons_g.beta, cons_s.beta)
-        assert rep_g == rep_s
-        assert rep_g["svd_steps"] == rep_g["rule_iterations"] + 1
-        assert rep_g["rank_fallback"]
+        _, rep = robust_fit_rule(ds, w, cfg, norm, phi)
+        assert rep["svd_steps"] == rep["rule_iterations"] + 1
+        assert rep["rank_fallback"]
 
     def test_constant_z_column_fit_reports_svd_steps(self):
         model, rep = train(_random_dataset(constant_x=True),
@@ -363,7 +350,7 @@ class TestGramStep:
         cfg = TrainConfig(degree=1, delta=0.0)
         norm, phi = _rule_fit_args(ds, cfg)
         w = np.ones(ds.n_samples)
-        cons_ref, rep_ref = robust_fit_rule(ds, w, cfg, norm, phi, gram=True)
+        cons_ref, rep_ref = robust_fit_rule(ds, w, cfg, norm, phi)
         real, calls = identify._weighted_lstsq, []
 
         def spoiled(phi, target, u, scaled=None):
@@ -374,7 +361,7 @@ class TestGramStep:
             return beta, cond, svd, short
 
         monkeypatch.setattr(identify, "_weighted_lstsq", spoiled)
-        cons, rep = robust_fit_rule(ds, w, cfg, norm, phi, gram=True)
+        cons, rep = robust_fit_rule(ds, w, cfg, norm, phi)
         assert rep_ref["rule_iterations"] > 1 and rep_ref["svd_steps"] == 0
         assert rep["svd_steps"] == rep["rule_iterations"] > 1
         assert not rep["rank_fallback"]

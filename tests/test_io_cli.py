@@ -6,6 +6,8 @@ import os
 import numpy as np
 import pytest
 
+from it2pf import identify
+from it2pf.clustering import SubtractiveParams
 from it2pf.core import Channel, materialize_ticks
 from it2pf.baselines import LKVModel, fit_lkv
 from it2pf.bench import BenchmarkReport
@@ -111,6 +113,22 @@ class TestDatasetCSV:
             read_dataset_ticks(str(path))
 
 
+    @pytest.mark.parametrize("n,m", [(0, 1), (-1, 1), (1, 0)])
+    def test_header_without_x_or_y_columns_rejected(self, tmp_path,
+                                                   small_config, capsys,
+                                                   n, m):
+        path = tmp_path / "d.csv"
+        path.write_text(f"#it2pf-dataset-v1 channel=e dt=0.01 n={n} m={m}\n"
+                        "t,trial_id,x1,v1\n0.0,0,0.0,0.0\n0.01,0,0.0,0.0\n")
+        with pytest.raises(FormatError, match="n >= 1 and m >= 1"):
+            read_dataset_ticks(str(path))
+        for model in ("it2pfml", "lkv"):
+            assert main(["train", "--config", small_config, "--data",
+                         str(path), "--out", str(tmp_path / "m.json"),
+                         "--model", model]) == 1
+            assert "error:format" in capsys.readouterr().err
+
+
 class TestModelIO:
     def _trained(self):
         ds = materialize_ticks(Channel.ENVIRONMENT, 0.01, *_linear_ticks())
@@ -163,6 +181,23 @@ class TestModelIO:
         save_model(str(tmp_path / "v2.json"), model)
         Y2, _ = load_model(str(tmp_path / "v2.json")).predict_batch(*rows)
         assert np.array_equal(Y2, Y)
+
+    @pytest.mark.parametrize("key,cut", [
+        ("coeffs_M", (slice(None), slice(None), slice(1, None))),
+        ("coeffs_C", (slice(1, None),)),
+        ("coeffs_f", (slice(None), slice(1, None)))],
+        ids=["M-basis", "C-outputs", "f-basis"])
+    def test_mis_shaped_v1_coefficients_rejected(self, tmp_path, key, cut):
+        # one coefficient array of a v1 golden's first rule loses a basis
+        # column or an output row
+        with open(os.path.join(DATA, "press_v1_degree1.json")) as fh:
+            doc = json.load(fh)
+        rule = doc["rules"][0]
+        rule[key] = np.array(rule[key])[cut].tolist()
+        path = tmp_path / "bad_v1.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="v1 coefficients"):
+            load_model(str(path))
 
     def test_lkv_roundtrip(self, tmp_path):
         ds = materialize_ticks(Channel.ENVIRONMENT, 0.01, *_linear_ticks())
@@ -642,6 +677,20 @@ class TestCLI:
         assert "error:config" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [
+        "max_cluster_points = -1", "irls_max_iter = -3", "fcm_max_iter = -1",
+        "width_floor = -1", "epsilon_floor = 0", "force_p = 0"])
+    def test_bad_train_value_is_a_config_error(self, tmp_path, capsys,
+                                               value):
+        # rejected when the config is read, before any data file
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[seeds]\nmaster = 0\n[train]\n" + value + "\n")
+        out = tmp_path / "m.json"
+        assert main(["train", "--config", str(bad), "--data", "env.csv",
+                     "--out", str(out)]) == 1
+        assert "error:config" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_format_error_exit_code(self, tmp_path, small_config, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("#wrong\n")
@@ -725,6 +774,29 @@ class TestCLI:
                      "--out-ga", str(tmp_path / "ga.csv")])
         assert code == 1
         assert "error:parameter" in capsys.readouterr().err
+
+    def test_train_rp_keeps_the_clustering_keys(self, tmp_path,
+                                                monkeypatch):
+        cfg_path = tmp_path / "peg.ini"
+        cfg_path.write_text("[seeds]\nmaster = 0\n[peg]\nn_demos = 2\n"
+                            "[clustering]\nr_b = 0.9\naccept_ratio = 0.6\n"
+                            "reject_ratio = 0.2\n")
+        cfg = str(cfg_path)
+        mt, ga = str(tmp_path / "mt.csv"), str(tmp_path / "ga.csv")
+        assert main(["gen-demo", "--config", cfg, "--out-mt", mt,
+                     "--out-ga", ga]) == 0
+        real, seen = identify.subtractive_cluster, []
+
+        def recorded(points, params):
+            seen.append(params)
+            return real(points, params)
+
+        monkeypatch.setattr(identify, "subtractive_cluster", recorded)
+        assert main(["train-rp", "--config", cfg, "--mt", mt, "--ga", ga,
+                     "--out-mt", str(tmp_path / "mt.json"),
+                     "--out-ga", str(tmp_path / "ga.json")]) == 0
+        # the partner's r_a, and the file's r_b and ratios, for both models
+        assert seen == [SubtractiveParams(0.35, 0.9, 0.6, 0.2)] * 2
 
     def test_peg_pipeline_smoke(self, tmp_path, capsys):
         cfg_path = tmp_path / "peg.ini"

@@ -6,14 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from it2pf.clustering import SubtractiveParams
+from it2pf.clustering import SubtractiveParams, subtractive_cluster
 from it2pf.core import (
+    BasisConsequent,
     Channel,
     IT2Gaussian,
     IT2PFModel,
     Normalization,
     ParameterError,
-    PolynomialConsequent,
     RulePremise,
     TypeReductionConfig,
     materialize_ticks,
@@ -43,10 +43,10 @@ def _const_model(channel, n, values, center=0.0, sigma=10.0, delta=0.1,
     d = 3 * n
     prem = RulePremise(tuple(IT2Gaussian(center, sigma, delta)
                              for _ in range(d)))
-    cons = PolynomialConsequent(
-        degree=0, coeffs_M=np.zeros((n, n, 1)), coeffs_C=np.zeros((n, n, 1)),
-        coeffs_K=np.zeros((n, n, 1)),
-        coeffs_f=np.asarray(values, dtype=float).reshape(n, 1))
+    # degree 0: beta is [M, C, K, f], here zero but for f = values
+    beta = np.zeros((d + 1, n))
+    beta[-1] = values
+    cons = BasisConsequent(0, beta)
     norm = Normalization(np.zeros(d), np.ones(d))
     return IT2PFModel(channel=channel, dt=dt, rules=[(prem, cons)],
                       norm=norm, tr_config=TypeReductionConfig())
@@ -62,17 +62,30 @@ class TestConfigAndScripts:
             PegWorldConfig(dt=0.0)
 
     def test_partner_recipe_sets_only_its_fields(self):
-        base = TrainConfig(degree=2, huber_k=2.0, irls_max_iter=7,
-                           max_cluster_points=900)
-        cfg = PegRunConfig(rp_degree=1, rp_delta=0.3, rp_r_a=0.4,
-                           rp_max_cluster_points=700, rp_force_p=12,
-                           rp_width_scale=1.5).train_config(base)
-        assert (cfg.degree, cfg.delta, cfg.subtractive, cfg.force_p,
-                cfg.max_cluster_points, cfg.width_scale) == \
-            (1, 0.3, SubtractiveParams(r_a=0.4), 12, 700, 1.5)
-        assert replace(cfg, degree=2, delta=base.delta,
-                       subtractive=base.subtractive, force_p=None,
-                       max_cluster_points=900, width_scale=1.0) == base
+        for subtractive in (SubtractiveParams(),
+                            SubtractiveParams(r_b=0.9, accept_ratio=0.6,
+                                              reject_ratio=0.2)):
+            base = TrainConfig(degree=2, huber_k=2.0, irls_max_iter=7,
+                               max_cluster_points=900,
+                               subtractive=subtractive)
+            cfg = PegRunConfig(rp_degree=1, rp_delta=0.3, rp_r_a=0.4,
+                               rp_max_cluster_points=700, rp_force_p=12,
+                               rp_width_scale=1.5).train_config(base)
+            assert (cfg.degree, cfg.delta, cfg.subtractive, cfg.force_p,
+                    cfg.max_cluster_points, cfg.width_scale) == \
+                (1, 0.3, replace(subtractive, r_a=0.4), 12, 700, 1.5)
+            assert replace(cfg, degree=2, delta=base.delta,
+                           subtractive=base.subtractive, force_p=None,
+                           max_cluster_points=900, width_scale=1.0) == base
+
+    def test_partner_r_b_left_unset_is_one_and_a_half_its_r_a(self):
+        # the default partner clusters with r_b = 1.5 * 0.35, not 1.5 * 0.5
+        sub = PegRunConfig().train_config(TrainConfig()).subtractive
+        points = np.random.default_rng(0).uniform(size=(300, 4))
+        got = subtractive_cluster(points, sub)
+        assert sub.r_b is None
+        assert got == subtractive_cluster(points, replace(sub, r_b=1.5 * 0.35))
+        assert got != subtractive_cluster(points, replace(sub, r_b=0.75))
 
     def test_episode_seeds_of_run_peg(self):
         # the seeds in the episodes CSV of run-peg at master seed 3
