@@ -64,7 +64,14 @@ def _cmd_train(args):
 def _cmd_predict(args):
     model = load_model(args.model)
     dataset = read_dataset_csv(args.data)
-    pred, _ = model.predict_batch(dataset.x, dataset.v, dataset.v_next)
+    # rows far outside the model's data overflow; they are counted and
+    # reported, not warned about and written out
+    with np.errstate(all="ignore"):
+        pred, _ = model.predict_batch(dataset.x, dataset.v, dataset.v_next)
+    bad = np.count_nonzero(~np.isfinite(pred).all(axis=1))
+    if bad:
+        raise InputDomainError(f"{bad} of {pred.shape[0]} rows give "
+                               "non-finite predictions")
     atomic_write_text(args.out,
                       predictions_csv(dataset.t, dataset.trial_id, pred))
     print(f"rmse={_fmt(rmse(pred, dataset.y))}")

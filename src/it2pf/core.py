@@ -309,9 +309,9 @@ def _premise_tables(premises):
 
 def _firing_batch(Z, centers, var_lower, var_upper):
     """Lower/upper firing of stacked premises at rows of Z -> two (N, p)."""
-    d2 = (Z[:, None, :] - centers[None, :, :]) ** 2            # (N, p, d)
-    lo = np.exp(-0.5 * np.sum(d2 / var_lower, axis=2))
-    up = np.exp(-0.5 * np.sum(d2 / var_upper, axis=2))
+    d2 = (Z[:, None, :] - centers) ** 2                        # (N, p, d)
+    lo = np.exp(-0.5 * (d2 / var_lower).sum(axis=2))
+    up = np.exp(-0.5 * (d2 / var_upper).sum(axis=2))
     return lo, up
 
 
@@ -355,14 +355,11 @@ def type_reduce_batch(lower, upper, cfg, epsilon_floor=1e-12):
     if epsilon_floor <= 0:
         raise ParameterError("epsilon_floor must be > 0")
     omega = cfg.b_lower * lower + cfg.b_upper * upper
-    total = omega.sum(axis=1)
+    total = omega.sum(axis=1, keepdims=True)
     degen = total < epsilon_floor
-    p = omega.shape[1]
-    w = np.empty_like(omega)
-    ok = ~degen
-    w[ok] = omega[ok] / total[ok, None]
-    w[degen] = 1.0 / p
-    return w, degen
+    w = np.divide(omega, total, where=~degen,
+                  out=np.full_like(omega, 1.0 / omega.shape[1]))
+    return w, degen[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +396,8 @@ def consequent_basis(Z, X, V, VN, dt, degree) -> np.ndarray:
     in Z: Phi is those q = basis_size(3n, degree + 1) monomials.  At degree
     0 it is [a, v, x, 1] itself, and beta the paper's [M, C, K, f]."""
     if degree == 0:
-        return np.hstack([(VN - V) / dt, V, X, np.ones((Z.shape[0], 1))])
+        return np.concatenate([(VN - V) / dt, V, X, np.ones((Z.shape[0], 1))],
+                              axis=1)
     return monomial_basis(Z, degree + 1)
 
 
@@ -516,15 +514,23 @@ class IT2PFModel:
         return self.rules[0][1].degree
 
     def predict(self, x, v, v_next):
-        """Blend the rule consequents at one input; returns (y, degenerate)."""
-        rows = []
-        for name, a in (("x", x), ("v", v), ("v_next", v_next)):
-            a = _vec(a, name)
-            _check_finite(a, name)
-            if a.shape[0] != self.n:
-                raise ShapeError(f"{name} must have dimension {self.n}")
-            rows.append(a[None, :])
-        Y, degen = self._predict_rows(*rows)
+        """Blend the rule consequents at one input; returns (y, degenerate).
+        A row that fails the joined checks is checked argument by argument,
+        so that the error names the first bad one."""
+        args = (("x", x), ("v", v), ("v_next", v_next))
+        rows = [np.asarray(a, dtype=float) for _, a in args]
+        shaped = all(a.shape == (self.n,) for a in rows)
+        z = np.concatenate(rows) if shaped else None
+        if not (shaped and np.isfinite(z).all()):
+            rows = []
+            for name, a in args:
+                a = _vec(a, name)
+                _check_finite(a, name)
+                if a.shape[0] != self.n:
+                    raise ShapeError(f"{name} must have dimension {self.n}")
+                rows.append(a)
+            z = np.concatenate(rows)    # a scalar standing for a 1-vector
+        Y, degen = self._predict_rows(z[None, :])
         return Y[0], bool(degen[0])
 
     def predict_batch(self, X, V, VN):
@@ -542,14 +548,17 @@ class IT2PFModel:
         # row blocks bound the (rows, q) basis temporary
         for start in range(0, N, _ROW_BLOCK):
             rows = slice(start, start + _ROW_BLOCK)
-            Y[rows], degen[rows] = self._predict_rows(X[rows], V[rows],
-                                                      VN[rows])
+            Y[rows], degen[rows] = self._predict_rows(
+                np.concatenate([X[rows], V[rows], VN[rows]], axis=1))
         return Y, degen
 
-    def _predict_rows(self, X, V, VN):
-        """Inference on validated rows: firing, type reduction, one GEMM
-        over every rule's consequent, one weighted sum over the rules."""
-        Zn = self.norm.apply(np.hstack([X, V, VN]))
+    def _predict_rows(self, Z):
+        """Inference on validated rows Z = [X, V, VN]: firing, type
+        reduction, one GEMM over every rule's consequent, one weighted sum
+        over the rules."""
+        n = self.n
+        X, V, VN = Z[:, :n], Z[:, n:2 * n], Z[:, 2 * n:]
+        Zn = self.norm.apply(Z)
         lo, up = _firing_batch(Zn, self._centers, self._var_lower,
                                self._var_upper)
         W, degen = type_reduce_batch(lo, up, self.tr_config, self.epsilon_floor)

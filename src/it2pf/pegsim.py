@@ -72,19 +72,22 @@ class PegWorldConfig:
 # Scripted operator
 # ---------------------------------------------------------------------------
 
-def _interp_keys(keys, t):
-    """Minimum-jerk interpolation through (time, value) keyframes."""
-    if t <= keys[0][0]:
-        return np.asarray(keys[0][1], dtype=float)
-    if t >= keys[-1][0]:
-        return np.asarray(keys[-1][1], dtype=float)
-    for (t0, v0), (t1, v1) in zip(keys, keys[1:]):
+def _interp_keys(frames, t):
+    """Minimum-jerk interpolation through (time, float array) keyframes."""
+    if t <= frames[0][0]:
+        return frames[0][1]
+    if t >= frames[-1][0]:
+        return frames[-1][1]
+    for (t0, v0), (t1, v1) in zip(frames, frames[1:]):
         if t0 <= t < t1:
             tau = (t - t0) / (t1 - t0)
-            v0 = np.asarray(v0, dtype=float)
-            v1 = np.asarray(v1, dtype=float)
             return v0 + (v1 - v0) * _minjerk(tau)
-    return np.asarray(keys[-1][1], dtype=float)
+    return frames[-1][1]
+
+
+def _norm(v):
+    """np.linalg.norm of a float vector, by its own formula."""
+    return math.sqrt(v.dot(v))
 
 
 @dataclass(frozen=True)
@@ -100,16 +103,21 @@ class OperatorScript:
             times = [k[0] for k in keys]
             if len(times) < 1 or any(b <= a for a, b in zip(times, times[1:])):
                 raise ParameterError(f"{name} times must be strictly increasing")
+            # the keyframes interpolated, as read-only float arrays
+            frames = tuple((t, np.array(v, dtype=float)) for t, v in keys)
+            for _, v in frames:
+                v.setflags(write=False)
+            object.__setattr__(self, f"_{name}", frames)
 
     @property
     def duration(self) -> float:
         return max(self.pos_keys[-1][0], self.theta_keys[-1][0])
 
     def position(self, t) -> np.ndarray:
-        return _interp_keys(self.pos_keys, t)
+        return _interp_keys(self._pos_keys, t)
 
     def theta(self, t) -> float:
-        return float(_interp_keys(self.theta_keys, t))
+        return float(_interp_keys(self._theta_keys, t))
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +142,17 @@ class PegWorld:
 
     def _move_toward(self, current, target):
         step = np.asarray(target, dtype=float) - current
-        dist = np.linalg.norm(step)
+        dist = _norm(step)
         limit = self.cfg.max_speed * self.cfg.dt
         if dist > limit:
             step *= limit / dist
         return current + step
 
     def _slew_theta(self, current, target):
+        # np.clip: a bound replaces a value strictly beyond it, NaN passes
         limit = self.cfg.max_theta_rate * self.cfg.dt
-        step = np.clip(float(target) - current, -limit, limit)
-        return float(np.clip(current + step, 0.0, self.cfg.theta_max))
+        step = min(max(float(target) - current, -limit), limit)
+        return float(min(max(current + step, 0.0), self.cfg.theta_max))
 
     def step(self, left_target, left_theta_target, right_target,
              right_theta_target):
@@ -164,10 +173,8 @@ class PegWorld:
 
         left_closed = self.left_theta < cfg.theta_close
         right_closed = self.right_theta < cfg.theta_close
-        left_near = np.linalg.norm(self.left_pos - self.block_pos) \
-            <= cfg.grasp_radius
-        right_near = np.linalg.norm(self.right_pos - self.block_pos) \
-            <= cfg.grasp_radius
+        left_near = _norm(self.left_pos - self.block_pos) <= cfg.grasp_radius
+        right_near = _norm(self.right_pos - self.block_pos) <= cfg.grasp_radius
 
         event = None
         # grasps before releases so a simultaneous handover keeps the block
@@ -191,7 +198,7 @@ class PegWorld:
             event = "dropped"
         elif self.block_state == BlockState.HELD_RIGHT and not right_closed:
             target = self.pegs[cfg.target_peg]
-            if np.linalg.norm(self.block_pos - target) <= cfg.place_radius:
+            if _norm(self.block_pos - target) <= cfg.place_radius:
                 self.block_state = BlockState.PLACED
                 event = "placed"
             else:
@@ -356,8 +363,7 @@ def run_episode(cfg: PegWorldConfig, left_script: OperatorScript, rp,
         if state_before == BlockState.HELD_LEFT \
                 and world.block_state == BlockState.HELD_BOTH \
                 and math.isnan(handover_error):
-            handover_error = float(np.linalg.norm(world.right_pos
-                                                  - world.block_pos))
+            handover_error = _norm(world.right_pos - world.block_pos)
 
         trace["t"].append(world.time)
         trace["left_pos"].append(world.left_pos.copy())
@@ -537,6 +543,26 @@ class PegRunConfig:
     rp_max_cluster_points: int = 1500
     rp_force_p: int = 30
     rp_width_scale: float = 1.0
+
+    def __post_init__(self):
+        # caught when the INI is read, not by a later TrainConfig,
+        # demonstration run or controller
+        if self.n_demos < 1:
+            raise ParameterError("n_demos must be >= 1")
+        if self.tau < self.world.dt:
+            raise ParameterError("tau must be >= the world's dt")
+        if self.rp_degree < 0:
+            raise ParameterError("rp_degree must be >= 0")
+        if not (0 <= self.rp_delta < 1):
+            raise ParameterError("rp_delta must be in [0, 1)")
+        if self.rp_r_a <= 0:
+            raise ParameterError("rp_r_a must be > 0")
+        if self.rp_max_cluster_points < 1:
+            raise ParameterError("rp_max_cluster_points must be >= 1")
+        if self.rp_force_p < 1:
+            raise ParameterError("rp_force_p must be >= 1")
+        if self.rp_width_scale <= 0:
+            raise ParameterError("rp_width_scale must be > 0")
 
     def train_config(self, base):
         """The TrainConfig base with the Robotic Partner's settings."""

@@ -317,6 +317,24 @@ class TestModelInference:
             [0.5], [0.5], [0.5])
         assert abs(y0[0] - y8[0]) > 1e-3
 
+    @pytest.mark.parametrize("args,error,name", [
+        (([np.nan], [0.0], [0.0]), InputDomainError, "x"),
+        (([0.0], [0.0, 1.0], [np.inf]), ShapeError, "v"),
+        (([0.0], [0.0], [[0.0]]), ShapeError, "v_next"),
+        (([np.inf], [[0.0]], [0.0]), InputDomainError, "x"),
+        (([0.0], [np.nan], [0.0, 1.0]), InputDomainError, "v"),
+    ], ids=["nan-x", "long-v", "matrix-v_next", "inf-x-before-matrix-v",
+            "nan-v-before-long-v_next"])
+    def test_predict_names_the_first_bad_argument(self, args, error, name):
+        with pytest.raises(error, match=f"^{name} "):
+            _const_model([0.0], [1.0]).predict(*args)
+
+    def test_predict_takes_scalars_for_one_dimension(self):
+        m = _const_model([0.0, 1.5], [1.0, 4.0])
+        y, degen = m.predict(0.3, np.float64(-0.2), 0.1)
+        assert np.array_equal(y, m.predict([0.3], [-0.2], [0.1])[0])
+        assert degen is False
+
     def test_batch_matches_scalar(self):
         m = _const_model([0.0, 1.5], [1.0, 4.0])
         rng = np.random.default_rng(3)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -570,6 +571,26 @@ class TestCLI:
         fresh = float(np.sqrt(np.mean(np.sum((p - ds.y) ** 2, axis=1))))
         assert abs(stored - fresh) <= 1e-9 * max(1.0, abs(fresh))
 
+    def test_non_finite_predictions_are_an_input_error(self, tmp_path,
+                                                      small_config, capsys):
+        model, data = str(tmp_path / "model.json"), str(tmp_path / "d.csv")
+        t, tid, X, V, Y = _linear_ticks()
+        write_dataset_csv(data, Channel.ENVIRONMENT, 0.01, t, tid, X, V, Y)
+        assert main(["train", "--config", small_config, "--data", data,
+                     "--out", model]) == 0
+        X[[3, 50, 90, 130, 170], 0] = 1e200
+        write_dataset_csv(data, Channel.ENVIRONMENT, 0.01, t, tid, X, V, Y)
+        pred = tmp_path / "pred.csv"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")    # no RuntimeWarning escapes
+            code = main(["predict", "--model", model, "--data", data,
+                         "--out", str(pred)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:input: 5 of 234 rows")
+        assert not pred.exists()
+
     def test_fit_report_of_a_fuzzy_fit(self, tmp_path, small_config):
         data, report = str(tmp_path / "env.csv"), tmp_path / "fit.txt"
         assert main(["gen-env", "--config", small_config, "--out", data]) == 0
@@ -691,6 +712,25 @@ class TestCLI:
         assert "error:config" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["gen-demo", "train-rp"])
+    @pytest.mark.parametrize("value", [
+        "rp_max_cluster_points = -1", "rp_force_p = 0", "rp_delta = 2",
+        "rp_delta = 1", "rp_r_a = 0", "rp_degree = -1", "rp_width_scale = 0",
+        "n_demos = 0", "tau = 0.005"])
+    def test_bad_peg_value_is_a_config_error(self, tmp_path, capsys, command,
+                                             value):
+        # rejected when the config is read, before any data file
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[seeds]\nmaster = 0\n[peg]\n" + value + "\n")
+        outs = [tmp_path / "mt.out", tmp_path / "ga.out"]
+        args = [command, "--config", str(bad), "--out-mt", str(outs[0]),
+                "--out-ga", str(outs[1])]
+        if command == "train-rp":
+            args += ["--mt", "mt.csv", "--ga", "ga.csv"]
+        assert main(args) == 1
+        assert "error:config" in capsys.readouterr().err
+        assert not any(out.exists() for out in outs)
+
     def test_format_error_exit_code(self, tmp_path, small_config, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("#wrong\n")
@@ -773,7 +813,7 @@ class TestCLI:
                      "--out-mt", str(tmp_path / "mt.csv"),
                      "--out-ga", str(tmp_path / "ga.csv")])
         assert code == 1
-        assert "error:parameter" in capsys.readouterr().err
+        assert "error:config" in capsys.readouterr().err
 
     def test_train_rp_keeps_the_clustering_keys(self, tmp_path,
                                                 monkeypatch):
@@ -813,7 +853,12 @@ class TestCLI:
                      "--out-mt", mt_m, "--out-ga", ga_m]) == 0
         out = str(tmp_path / "episodes.csv")
         assert main(["run-peg", "--config", cfg, "--mt-model", mt_m,
-                     "--ga-model", ga_m, "--out", out]) == 0
+                     "--ga-model", ga_m, "--out", out,
+                     "--trace-dir", str(tmp_path)]) == 0
         text = open(out).read()
         assert text.startswith("#it2pf-peg-episodes-v1")
         assert "completed" in capsys.readouterr().out
+        # episode 0's trace, bit for bit as commit 5ce339a wrote it
+        golden = os.path.join(DATA, "run_peg_trace_master0_ep0.csv")
+        with open(golden, "rb") as fh:
+            assert (tmp_path / "trace_000.csv").read_bytes() == fh.read()

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from it2pf.clustering import SubtractiveParams, subtractive_cluster
 from it2pf.core import (
@@ -113,6 +114,75 @@ class TestConfigAndScripts:
         assert np.allclose(s.position(0.5), [0.5, 0.0, 0.0])
         assert s.theta(0.5) == pytest.approx(0.5)
         assert s.duration == 1.0
+        # an endpoint is the script's own keyframe, so it is read-only
+        with pytest.raises(ValueError):
+            s.position(2.0)[0] = 5.0
+        assert np.array_equal(s.position(2.0), [1.0, 0.0, 0.0])
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def _reference_move(world, current, target):
+    """PegWorld._move_toward as np.linalg.norm writes it."""
+    step = np.asarray(target, dtype=float) - current
+    dist = np.linalg.norm(step)
+    limit = world.cfg.max_speed * world.cfg.dt
+    if dist > limit:
+        step *= limit / dist
+    return current + step
+
+
+def _reference_slew(world, current, target):
+    """PegWorld._slew_theta as np.clip writes it."""
+    limit = world.cfg.max_theta_rate * world.cfg.dt
+    step = np.clip(float(target) - current, -limit, limit)
+    return float(np.clip(current + step, 0.0, world.cfg.theta_max))
+
+
+_WORLD = PegWorld(PegWorldConfig())
+_STEP = _WORLD.cfg.max_speed * _WORLD.cfg.dt
+_SLEW = _WORLD.cfg.max_theta_rate * _WORLD.cfg.dt
+# limits hit exactly, zero steps, signed zeros and non-finite values
+_EDGES = st.sampled_from([0.0, -0.0, _STEP, -_STEP, _SLEW, -_SLEW,
+                          _WORLD.cfg.theta_max, math.nan, math.inf,
+                          -math.inf])
+_VALUES = st.one_of(_EDGES, st.floats(-1.0, 1.0),
+                    st.floats(allow_nan=True, allow_infinity=True))
+
+
+class TestTickArithmetic:
+    """The world step's float arithmetic equals the numpy forms it
+    replaces bit for bit, NaN and infinities included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_VALUES, _VALUES, st.booleans())
+    def test_slew_theta(self, current, offset, from_current):
+        target = current + offset if from_current else offset
+        with np.errstate(all="ignore"):
+            want = _reference_slew(_WORLD, current, target)
+        got = _WORLD._slew_theta(current, target)
+        assert type(got) is float and _bits(got) == _bits(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+           st.lists(_VALUES, min_size=3, max_size=3), st.booleans())
+    def test_move_toward(self, current, offset, from_current):
+        current = np.array(current)
+        target = current + offset if from_current else np.array(offset)
+        with np.errstate(all="ignore"):
+            want = _reference_move(_WORLD, current.copy(), target)
+            got = _WORLD._move_toward(current.copy(), target)
+        assert _bits(got) == _bits(want)
+
+    def test_moves_that_hit_the_limit_exactly(self):
+        current = np.array([0.01, -0.02, 0.03])
+        for target in (current + [_STEP, 0.0, 0.0], current - [0.0, _STEP, 0],
+                       current, current + [0.0, 0.0, math.nan]):
+            want = _reference_move(_WORLD, current.copy(), target)
+            got = _WORLD._move_toward(current.copy(), target)
+            assert _bits(got) == _bits(want)
 
 
 class TestWorldKinematics:

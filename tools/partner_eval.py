@@ -11,13 +11,16 @@ scripts use episode seeds 0-4) and runs closed-loop episodes:
 
 An episode is clean when it completes with a handover error within the
 grasp radius.  The script prints the training counts of both models, the
-misses of the 306 episodes as (workload seed, k, phase), and the clean
-counts of the other sets.  It takes about 2 minutes on one core.  Changes
-that move the partner's models are judged by this output, before and
-after, instead of by byte identity of the models.
+misses of the 306 episodes as (workload seed, k, phase), the clean counts
+of the other sets, and one SHA-256 over every episode trace, in the order
+the episodes ran.  It takes about 2 minutes on one core.  Changes that
+move the partner's models are judged by this output, before and after,
+instead of by byte identity of the models; a change meant to keep the
+partner bit for bit is judged by the digest line alone.
 
     python3 tools/partner_eval.py
 """
+import hashlib
 import os
 import sys
 import time
@@ -53,11 +56,15 @@ def main():
               f"{sum(rep.svd_steps)}")
     controller = pegsim.RPController(*models, tau=RP.tau)
     outcomes = {}
+    digest = hashlib.sha256()
 
     def episode(seed):
         if seed not in outcomes:
             left, _ = pegsim.build_scripts(world, seed=seed)
             rep = pegsim.run_episode(world, left, controller, seed=seed)
+            for key in sorted(rep.trace):
+                digest.update(key.encode())
+                digest.update(np.ascontiguousarray(rep.trace[key]).tobytes())
             clean = rep.completed and rep.handover_error <= world.grasp_radius
             outcomes[seed] = (clean, rep.phase, rep.completion_time)
         return outcomes[seed]
@@ -78,6 +85,8 @@ def main():
         print(f"{label} {seeds.start}-{seeds.stop - 1}: "
               f"{len(clean)}/{len(seeds)} clean, mean completion {mean}; "
               f"misses: {', '.join(missed) or 'none'}")
+    print(f"trace sha256 over {len(outcomes)} episodes: "
+          f"{digest.hexdigest()}")
     print(f"elapsed {time.perf_counter() - t0:.0f} s")
 
 
